@@ -55,10 +55,12 @@
 //! (minimum wall time is the standard low-noise estimator for
 //! same-machine A/B timing).
 
+use softsim_bench::durable::{durable_cordic_campaign, journaled};
 use softsim_bus::FslBank;
 use softsim_cosim::CoSimStop;
 use softsim_iss::{Cpu, StopReason};
 use softsim_metrics::MetricsCollector;
+use softsim_resilience::CampaignRun;
 use softsim_trace::{shared, NullSink};
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -148,12 +150,11 @@ fn run_campaign_plain() -> Duration {
 fn run_campaign_telemetry() -> Duration {
     // Telemetry on, in-memory only: spans aggregate under a mutex, no
     // heartbeat or snapshot I/O. The report must equal the plain run's.
-    use softsim_bench::faults::{cordic_campaign_telemetry, REPORT_SEED};
     use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
     let t = Telemetry::new(TelemetryConfig::default());
     let start = Instant::now();
     let report =
-        cordic_campaign_telemetry(REPORT_SEED, softsim_bench::durable::DURABLE_TRIALS, Some(&t));
+        durable_cordic_campaign(&CampaignRun { workers: 1, telemetry: Some(&t), journal: None });
     let wall = start.elapsed();
     black_box(report.trials.len());
     black_box(t.trial_cycles());
@@ -162,7 +163,7 @@ fn run_campaign_telemetry() -> Duration {
 
 fn run_campaign_journaled(journal: &std::path::Path) -> Duration {
     let start = Instant::now();
-    let report = softsim_bench::durable::durable_cordic_campaign(journal, false, 1);
+    let report = durable_cordic_campaign(&journaled(journal, false, 1, None));
     let wall = start.elapsed();
     black_box(report.trials.len());
     wall
@@ -191,17 +192,19 @@ fn serve_off_campaign() -> softsim_resilience::CampaignReport {
     let spec = serve_spec();
     let plan = catalog::campaign_plan(spec.workload, spec.seed, spec.trials);
     let (base, n) = catalog::observe_window(spec.workload);
-    softsim_resilience::run_campaign_parallel_with_telemetry(
+    let config = softsim_resilience::CampaignConfig {
+        fast_forward: true,
+        ..softsim_resilience::CampaignConfig::default()
+    };
+    let run = CampaignRun { workers: 1, ..CampaignRun::default() };
+    run.run(
+        config,
         || catalog::build_sim(spec.workload, false),
         &plan,
         move |s| catalog::observe_words(s, base, n),
-        softsim_resilience::CampaignConfig {
-            fast_forward: true,
-            ..softsim_resilience::CampaignConfig::default()
-        },
-        1,
-        None,
     )
+    .expect("an unjournaled campaign does no I/O")
+    .0
 }
 
 fn run_serve_off() -> Duration {
@@ -243,7 +246,7 @@ fn main() {
             softsim_bench::faults::REPORT_SEED,
             softsim_bench::durable::DURABLE_TRIALS,
         ),
-        softsim_bench::durable::durable_cordic_campaign(&journal, false, 1),
+        durable_cordic_campaign(&journaled(&journal, false, 1, None)),
         "plain and journaled campaigns must agree bit for bit"
     );
     // The served campaign must be the direct campaign, line for line —
@@ -289,11 +292,11 @@ fn main() {
                 softsim_bench::faults::REPORT_SEED,
                 softsim_bench::durable::DURABLE_TRIALS,
             ),
-            softsim_bench::faults::cordic_campaign_telemetry(
-                softsim_bench::faults::REPORT_SEED,
-                softsim_bench::durable::DURABLE_TRIALS,
-                Some(&t),
-            ),
+            durable_cordic_campaign(&CampaignRun {
+                workers: 1,
+                telemetry: Some(&t),
+                journal: None
+            }),
             "plain and instrumented campaigns must agree bit for bit"
         );
     }

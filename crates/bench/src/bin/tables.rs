@@ -4,7 +4,13 @@
 //! [--ablation] [--profile] [--faults] [--metrics] [--all]
 //! [--csv [DIR]] [--bench-json [PATH]] [--speedup-json [PATH]]
 //! [--recovery [PATH]] [--hotspots [PATH]] [--durable-json [PATH]]
-//! [--journal [PATH]] [--resume] [--record [PATH]]`
+//! [--journal [PATH] [--resume]] [--telemetry [SNAPSHOT]]
+//! [--translate-json [PATH]] [--serve-json [PATH]] [--record [PATH]]
+//! [--trajectory [PATH]] [--trajectory-gate [COMMITTED]]`
+//!
+//! No arguments means `--all`. An unknown argument, or `--resume`
+//! without `--journal`, is a usage error: the usage line goes to stderr
+//! and the exit status is 2, like an invalid environment variable.
 //!
 //! Run in release mode — the Table I / Table II rows, `--bench-json`
 //! and `--speedup-json` measure wall-clock simulation speed.
@@ -40,7 +46,8 @@
 //!   force the serial sweep path; CI diffs that against the default
 //!   parallel one.
 //! * `--telemetry [SNAPSHOT]` (default `target/telemetry.prom`) turns
-//!   on harness telemetry for the `--faults` campaign: a stderr
+//!   on harness telemetry for the `--faults` campaign (and for the
+//!   journaled `--faults` / `--recovery` campaigns): a stderr
 //!   progress/ETA heartbeat, a periodically refreshed Prometheus
 //!   snapshot file, and a final per-worker utilization summary on
 //!   stderr. stdout is untouched — CI byte-diffs it against a
@@ -60,9 +67,73 @@
 //!   fails (exit 1) if any floor/ceiling-gated series regresses past
 //!   its factor vs the committed record.
 
+use softsim_bench::durable::journaled;
 use softsim_bench::tables;
 use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use std::time::Duration;
+
+const USAGE: &str = "usage: tables [--fig5] [--fig7] [--table1] [--table2] [--claims] \
+[--ablation] [--profile] [--faults] [--metrics] [--all] [--csv [DIR]] \
+[--bench-json [PATH]] [--speedup-json [PATH]] [--recovery [PATH]] [--hotspots [PATH]] \
+[--durable-json [PATH]] [--journal [PATH] [--resume]] [--telemetry [SNAPSHOT]] \
+[--translate-json [PATH]] [--serve-json [PATH]] [--record [PATH]] [--trajectory [PATH]] \
+[--trajectory-gate [COMMITTED]]";
+
+/// Flags that stand alone.
+const FLAGS: [&str; 11] = [
+    "--fig5",
+    "--fig7",
+    "--table1",
+    "--table2",
+    "--claims",
+    "--ablation",
+    "--profile",
+    "--faults",
+    "--metrics",
+    "--all",
+    "--resume",
+];
+
+/// Flags that take an optional operand (the next argument, unless it is
+/// itself a flag).
+const OPERAND_FLAGS: [&str; 13] = [
+    "--csv",
+    "--bench-json",
+    "--speedup-json",
+    "--recovery",
+    "--hotspots",
+    "--durable-json",
+    "--journal",
+    "--telemetry",
+    "--translate-json",
+    "--serve-json",
+    "--record",
+    "--trajectory",
+    "--trajectory-gate",
+];
+
+/// Exits with status 2 and the usage line unless every argument is a
+/// known flag or the operand of one, and `--resume` comes with
+/// `--journal`.
+fn check_args(args: &[String]) {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        if OPERAND_FLAGS.contains(&arg.as_str()) {
+            rest.next_if(|next| !next.starts_with("--"));
+        } else if !FLAGS.contains(&arg.as_str()) {
+            usage_error(&format!("unknown argument `{arg}`"));
+        }
+    }
+    if args.iter().any(|a| a == "--resume") && !args.iter().any(|a| a == "--journal") {
+        usage_error("--resume needs --journal");
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("configuration error: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     // Environment is validated eagerly: a malformed override is a
@@ -78,6 +149,7 @@ fn main() {
     }
 
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
     let all = args.is_empty() || args.iter().any(|a| a == "--all");
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
     // `--flag [PATH]`: an optional operand that is not itself a flag.
@@ -113,9 +185,9 @@ fn main() {
     let journal = operand("--journal", "target/campaign.ssjl");
     let resume = args.iter().any(|a| a == "--resume");
     // `--telemetry [SNAPSHOT]`: harness telemetry for the `--faults`
-    // campaign. Everything it emits goes to stderr or the snapshot
-    // file, never stdout — the deterministic sections stay byte-
-    // identical with or without it.
+    // and journaled campaigns. Everything it emits goes to stderr or the
+    // snapshot file, never stdout — the deterministic sections stay
+    // byte-identical with or without it.
     let telemetry = operand("--telemetry", "target/telemetry.prom").map(|snap| {
         let path = std::path::PathBuf::from(&snap);
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -127,11 +199,17 @@ fn main() {
         })
     });
 
+    let workers = softsim_bench::faults::default_workers();
     if want("--faults") {
         match &journal {
             Some(path) => println!(
                 "{}",
-                softsim_bench::durable::durable_faults_text(std::path::Path::new(path), resume)
+                softsim_bench::durable::durable_faults_text(&journaled(
+                    std::path::Path::new(path),
+                    resume,
+                    workers,
+                    telemetry.as_ref(),
+                ))
             ),
             None => println!(
                 "{}",
@@ -167,10 +245,12 @@ fn main() {
                 let jpath = format!("{j}.recovery");
                 println!(
                     "{}",
-                    softsim_bench::durable::durable_recovery_text(
+                    softsim_bench::durable::durable_recovery_text(&journaled(
                         std::path::Path::new(&jpath),
                         resume,
-                    )
+                        workers,
+                        telemetry.as_ref(),
+                    ))
                 );
             }
             None => {

@@ -11,12 +11,14 @@
 //! the plan hash), so the record is byte-reproducible and CI can `cmp`
 //! it across `SOFTSIM_SWEEP_WORKERS` values.
 
-use crate::faults::{default_workers, observe_words, CORDIC_ITERS, CORDIC_P, REPORT_SEED};
-use crate::recover::{cordic_sim, report_policy, HARDENINGS};
+use crate::faults::{
+    cordic_plan, default_workers, run_cordic, CORDIC_ITERS, CORDIC_P, REPORT_SEED,
+};
+use crate::recover::cordic_recovery_run;
+use softsim_metrics::telemetry::Telemetry;
 use softsim_resilience::{
-    resume_from_journal, resume_recovery_from_journal, run_campaign_durable_parallel,
-    run_recovery_campaign_durable_parallel, CampaignConfig, CampaignReport, FaultKind, Injection,
-    RecoveryReport,
+    resume_from_journal, CampaignConfig, CampaignReport, CampaignRun, DurabilityStatus, FaultKind,
+    Injection, JournalError, JournalOptions, RecoveryPolicy, RecoveryReport, TrialKind,
 };
 use std::path::{Path, PathBuf};
 
@@ -35,38 +37,37 @@ const INTERRUPT_AT: usize = DURABLE_TRIALS / 3;
 /// + plan hash + trial count + CRC), used to walk record frames.
 const HEADER_LEN: usize = 25;
 
-/// Runs the seeded CORDIC fault campaign durably, journaling to
-/// `journal`. With `resume` set, trials already in the journal are
-/// loaded instead of re-run.
-pub fn durable_cordic_campaign(journal: &Path, resume: bool, workers: usize) -> CampaignReport {
-    let (plan, base, n) = crate::faults::cordic_plan(REPORT_SEED, DURABLE_TRIALS);
-    run_campaign_durable_parallel(
-        || crate::workloads::cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
-        &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        journal,
-        resume,
-        workers,
-    )
-    .expect("durable campaign journal I/O")
+/// A [`CampaignRun`] journaling to `path` (no append fault).
+pub fn journaled<'a>(
+    path: &'a Path,
+    resume: bool,
+    workers: usize,
+    telemetry: Option<&'a Telemetry>,
+) -> CampaignRun<'a> {
+    let journal = Some(JournalOptions { path, resume, append_fault: None });
+    CampaignRun { workers, telemetry, journal }
 }
 
-/// Runs the seeded fully-hardened (ecc+tmr) CORDIC recovery campaign
-/// durably, journaling to `journal`.
-pub fn durable_cordic_recovery(journal: &Path, resume: bool, workers: usize) -> RecoveryReport {
-    let (plan, base, n) = crate::recover::cordic_plan(REPORT_SEED, DURABLE_RECOVERY_TRIALS);
-    let h = HARDENINGS[3];
-    run_recovery_campaign_durable_parallel(
-        || cordic_sim(h),
-        &plan,
-        move |s| observe_words(s, base, n),
-        report_policy(),
-        journal,
-        resume,
-        workers,
-    )
-    .expect("durable recovery journal I/O")
+/// Unwraps a journaled run's result, printing its degradation warning
+/// (if an append failed) to stderr.
+pub fn report_of<R>(result: Result<(R, DurabilityStatus), JournalError>) -> R {
+    let (report, status) = result.unwrap_or_else(|e| panic!("durable campaign journal I/O: {e}"));
+    if let Some(w) = &status.warning {
+        eprintln!("warning: {w}");
+    }
+    report
+}
+
+/// The seeded CORDIC fault campaign of this record, run as `run` says.
+pub fn durable_cordic_campaign(run: &CampaignRun) -> CampaignReport {
+    let plan = cordic_plan(REPORT_SEED, DURABLE_TRIALS);
+    report_of(run_cordic(&plan, CampaignConfig::default(), run))
+}
+
+/// The seeded fully-hardened (ecc+tmr) CORDIC recovery campaign of
+/// this record, run as `run` says.
+fn durable_cordic_recovery(run: &CampaignRun) -> RecoveryReport {
+    report_of(cordic_recovery_run(REPORT_SEED, DURABLE_RECOVERY_TRIALS, run))
 }
 
 /// Byte offsets of every record frame in a journal (walking the
@@ -127,21 +128,21 @@ fn run_durable() -> DurableRun {
 
     // Uninterrupted durable run.
     let journal = scratch_journal("durable_faults");
-    let report = durable_cordic_campaign(&journal, false, workers);
-    let scan = resume_from_journal(&journal).expect("journal scans");
+    let report = durable_cordic_campaign(&journaled(&journal, false, workers, None));
+    let scan = resume_from_journal::<CampaignConfig>(&journal).expect("journal scans");
     assert_eq!(scan.done(), DURABLE_TRIALS, "every trial journaled");
     let journal_bytes = std::fs::metadata(&journal).expect("journal exists").len();
     let (records, plan_hash) = (scan.records, scan.plan_hash);
 
     // Interrupt at a record boundary + torn tail, then resume.
     let (resumed_records, torn_bytes) = interrupt_journal(&journal, INTERRUPT_AT);
-    let resumed = durable_cordic_campaign(&journal, true, workers);
+    let resumed = durable_cordic_campaign(&journaled(&journal, true, workers, None));
     let resumed_identical = resumed == report;
     assert!(resumed_identical, "resumed report must be byte-identical to the uninterrupted run");
 
     // Worker invariance: a fresh serial run agrees with the pool run.
     let serial_journal = scratch_journal("durable_faults_serial");
-    let serial = durable_cordic_campaign(&serial_journal, false, 1);
+    let serial = durable_cordic_campaign(&journaled(&serial_journal, false, 1, None));
     let workers_invariant = serial == report;
     assert!(workers_invariant, "durable report must not depend on the worker count");
 
@@ -149,28 +150,24 @@ fn run_durable() -> DurableRun {
     // harness panic and a tight per-trial cycle budget — the panic is
     // caught ([`HarnessError`]), runaway trials are cancelled
     // ([`Budget`]), and every sibling still classifies.
-    let (mut plan, base, n) = crate::faults::cordic_plan(REPORT_SEED, 23);
+    let mut plan = cordic_plan(REPORT_SEED, 23);
     plan.push(Injection { cycle: plan[0].cycle, kind: FaultKind::HarnessPanic });
     let demo_journal = scratch_journal("durable_demo");
-    let demo = run_campaign_durable_parallel(
-        || crate::workloads::cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
+    let demo = report_of(run_cordic(
         &plan,
-        move |s| observe_words(s, base, n),
         CampaignConfig { trial_cycle_budget: Some(64), ..CampaignConfig::default() },
-        &demo_journal,
-        false,
-        workers,
-    )
-    .expect("durable demo journal I/O");
+        &journaled(&demo_journal, false, workers, None),
+    ));
     assert_eq!(demo.trials.len(), 24, "sibling trials all completed");
 
     // Recovery-side resume over the supervised campaign.
     let rec_journal = scratch_journal("durable_recovery");
-    let recovery = durable_cordic_recovery(&rec_journal, false, workers);
-    let rec_scan = resume_recovery_from_journal(&rec_journal).expect("recovery journal scans");
+    let recovery = durable_cordic_recovery(&journaled(&rec_journal, false, workers, None));
+    let rec_scan =
+        resume_from_journal::<RecoveryPolicy>(&rec_journal).expect("recovery journal scans");
     let recovery_records = rec_scan.records;
     interrupt_journal(&rec_journal, DURABLE_RECOVERY_TRIALS / 2);
-    let rec_resumed = durable_cordic_recovery(&rec_journal, true, workers);
+    let rec_resumed = durable_cordic_recovery(&journaled(&rec_journal, true, workers, None));
     let recovery_resumed_identical = rec_resumed == recovery;
     assert!(recovery_resumed_identical, "resumed recovery report must be byte-identical");
 
@@ -298,18 +295,23 @@ pub fn write_durable_json(path: &Path) -> std::io::Result<()> {
     std::fs::write(path, durable_json())
 }
 
+/// What a resumed journal already held: `(trials on file, torn bytes)`,
+/// or `None` on a fresh run (or an unreadable journal).
+fn prior<K: TrialKind>(run: &CampaignRun) -> Option<(usize, u64)> {
+    let journal = run.journal.filter(|j| j.resume)?;
+    let scan = resume_from_journal::<K>(journal.path).ok()?;
+    Some((scan.done(), scan.torn_bytes))
+}
+
 /// The `--faults --journal PATH` report: the seeded CORDIC campaign
-/// run durably against a user-supplied journal. With `resume`, trials
-/// already journaled are loaded; the trailing lines account for what
-/// the journal contributed.
-pub fn durable_faults_text(journal: &Path, resume: bool) -> String {
+/// run as `run` says, which must name a journal (its telemetry hub, if
+/// any, records the run). With `resume`, trials already journaled are
+/// loaded; the trailing lines account for what the journal contributed.
+pub fn durable_faults_text(run: &CampaignRun) -> String {
     use std::fmt::Write;
-    let prior = if resume {
-        resume_from_journal(journal).ok().map(|scan| (scan.done(), scan.torn_bytes))
-    } else {
-        None
-    };
-    let report = durable_cordic_campaign(journal, resume, default_workers());
+    let prior = prior::<CampaignConfig>(run);
+    let report = durable_cordic_campaign(run);
+    let journal = run.journal.expect("a journaled run").path;
     let mut s = report.text(&format!(
         "cordic divider, P={CORDIC_P}, {CORDIC_ITERS} iterations \
          (seed {REPORT_SEED:#x}, journaled)"
@@ -332,15 +334,12 @@ pub fn durable_faults_text(journal: &Path, resume: bool) -> String {
 }
 
 /// The `--recovery --journal PATH` report: the fully-hardened CORDIC
-/// recovery campaign run durably against a user-supplied journal.
-pub fn durable_recovery_text(journal: &Path, resume: bool) -> String {
+/// recovery campaign run as `run` says, which must name a journal.
+pub fn durable_recovery_text(run: &CampaignRun) -> String {
     use std::fmt::Write;
-    let prior = if resume {
-        resume_recovery_from_journal(journal).ok().map(|scan| (scan.done(), scan.torn_bytes))
-    } else {
-        None
-    };
-    let report = durable_cordic_recovery(journal, resume, default_workers());
+    let prior = prior::<RecoveryPolicy>(run);
+    let report = durable_cordic_recovery(run);
+    let journal = run.journal.expect("a journaled run").path;
     let mut s = report.text(&format!(
         "cordic divider, ecc+tmr, P={CORDIC_P}, {CORDIC_ITERS} iterations \
          (seed {REPORT_SEED:#x}, journaled)"
@@ -385,14 +384,29 @@ mod tests {
     }
 
     #[test]
-    fn faults_journal_text_reports_resume_accounting() {
+    fn journaled_faults_text_with_telemetry_is_identical_and_spans_every_executed_trial() {
+        use softsim_metrics::telemetry::TelemetryConfig;
         let journal = test_journal("faults_text");
-        let fresh = durable_faults_text(&journal, false);
-        assert!(fresh.contains("fresh run"), "{fresh}");
-        // Tear the journal and resume through the text path.
+        let plain = durable_faults_text(&journaled(&journal, false, 1, None));
+        assert!(plain.contains("fresh run"), "{plain}");
+        let plain_bytes = std::fs::read(&journal).expect("journal readable");
+
+        let t = Telemetry::new(TelemetryConfig::default());
+        let instrumented = durable_faults_text(&journaled(&journal, false, 1, Some(&t)));
+        assert_eq!(instrumented, plain, "telemetry leaves the report text alone");
+        assert_eq!(std::fs::read(&journal).unwrap(), plain_bytes, "and the journal bytes");
+        assert_eq!(t.trial_count(), DURABLE_TRIALS as u64, "one trial span per executed trial");
+        assert!(t.trial_cycles() > 0);
+        assert_eq!(t.journal_bytes(), (plain_bytes.len() - HEADER_LEN) as u64);
+
+        // Tear the journal and resume through the text path: only the
+        // re-run trials are executed, and spanned.
         interrupt_journal(&journal, 10);
-        let resumed = durable_faults_text(&journal, true);
+        let t = Telemetry::new(TelemetryConfig::default());
+        let resumed = durable_faults_text(&journaled(&journal, true, 1, Some(&t)));
         assert!(resumed.contains("resumed with 10 of"), "{resumed}");
+        assert_eq!(t.trial_count(), (DURABLE_TRIALS - 10) as u64);
+        assert_eq!(std::fs::read(&journal).unwrap(), plain_bytes);
         let _ = std::fs::remove_file(journal);
     }
 }

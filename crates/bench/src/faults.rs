@@ -10,8 +10,8 @@ use crate::workloads::{cordic_cosim, cordic_hw_image, matmul_cosim, matmul_image
 use softsim_cosim::CoSim;
 use softsim_metrics::telemetry::Telemetry;
 use softsim_resilience::{
-    random_plan, run_campaign, run_campaign_parallel, run_campaign_parallel_with_telemetry,
-    run_campaign_with_telemetry, CampaignConfig, CampaignReport, FaultKind, Injection,
+    random_plan, run_campaign, CampaignConfig, CampaignReport, CampaignRun, DurabilityStatus,
+    FaultKind, Injection, JournalError,
 };
 
 /// CORDIC iterations used by the fault campaigns (Figure 5's short
@@ -38,16 +38,20 @@ pub(crate) fn golden_cycles(mut sim: CoSim) -> u64 {
     sim.cpu().stats().cycles
 }
 
-/// The CORDIC campaign's injection plan plus the observable window
-/// (result base address, word count) — shared by the serial and
-/// parallel runners so both sweep the identical schedule.
-pub(crate) fn cordic_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
+/// The CORDIC workload's observables: its result words.
+pub(crate) fn cordic_observe() -> impl Fn(&CoSim) -> Vec<u32> + Copy + Sync {
     let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
     let base = img.symbol("z_data").expect("cordic result label");
     let n = crate::workloads::cordic_batch().len();
+    move |s: &CoSim| observe_words(s, base, n)
+}
+
+/// The CORDIC campaign's seeded injection plan — shared by every runner
+/// so all of them sweep the identical schedule.
+pub fn cordic_plan(seed: u64, trials: usize) -> Vec<Injection> {
+    let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
     let golden = golden_cycles(cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)));
-    let plan = random_plan(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0, 1]);
-    (plan, base, n)
+    random_plan(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0, 1])
 }
 
 /// Runs a seeded fault campaign over the CORDIC divider (P =
@@ -59,52 +63,19 @@ pub fn cordic_campaign(seed: u64, trials: usize) -> CampaignReport {
 /// [`cordic_campaign`] with explicit tuning knobs — the speedup bench
 /// uses this to compare fast-forwarding on against off.
 pub fn cordic_campaign_with(seed: u64, trials: usize, config: CampaignConfig) -> CampaignReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
     let mut sim = cordic_cosim(CORDIC_ITERS, Some(CORDIC_P));
-    run_campaign(&mut sim, &plan, |s| observe_words(s, base, n), config)
+    run_campaign(&mut sim, &cordic_plan(seed, trials), cordic_observe(), config)
 }
 
-/// [`cordic_campaign`] with optional harness telemetry — byte-identical
-/// report either way (the overhead guard in `trace_overhead` times this
-/// against the plain runner).
-pub fn cordic_campaign_telemetry(
-    seed: u64,
-    trials: usize,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    let mut sim = cordic_cosim(CORDIC_ITERS, Some(CORDIC_P));
-    run_campaign_with_telemetry(
-        &mut sim,
-        &plan,
-        |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        telemetry,
-    )
-}
-
-/// The CORDIC campaign on `workers` threads. Byte-identical report to
-/// [`cordic_campaign`] with the same seed and trial count.
-pub fn cordic_campaign_parallel(seed: u64, trials: usize, workers: usize) -> CampaignReport {
-    cordic_campaign_parallel_telemetry(seed, trials, workers, None)
-}
-
-/// [`cordic_campaign_parallel`] with optional harness telemetry.
-pub fn cordic_campaign_parallel_telemetry(
-    seed: u64,
-    trials: usize,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    run_campaign_parallel_with_telemetry(
-        || cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
-        &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        workers,
-        telemetry,
-    )
+/// Runs `plan` over the CORDIC divider as `run` says (workers,
+/// telemetry, journal). The report is byte-identical to the serial
+/// [`cordic_campaign_with`] over the same plan.
+pub fn run_cordic(
+    plan: &[Injection],
+    config: CampaignConfig,
+    run: &CampaignRun,
+) -> Result<(CampaignReport, DurabilityStatus), JournalError> {
+    run.run(config, || cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)), plan, cordic_observe())
 }
 
 pub use crate::sweep::default_workers;
@@ -135,28 +106,8 @@ pub fn cordic_stuck_plan(trials: usize) -> Vec<Injection> {
 
 /// Runs [`cordic_stuck_plan`] serially under `config`.
 pub fn cordic_stuck_campaign(trials: usize, config: CampaignConfig) -> CampaignReport {
-    let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
-    let plan = cordic_stuck_plan(trials);
     let mut sim = cordic_cosim(CORDIC_ITERS, Some(CORDIC_P));
-    run_campaign(&mut sim, &plan, |s| observe_words(s, base, n), config)
-}
-
-/// Runs [`cordic_stuck_plan`] on `workers` threads with the default
-/// configuration. Byte-identical report to the serial runner's.
-pub fn cordic_stuck_campaign_parallel(trials: usize, workers: usize) -> CampaignReport {
-    let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
-    let plan = cordic_stuck_plan(trials);
-    run_campaign_parallel(
-        || cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
-        &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        workers,
-    )
+    run_campaign(&mut sim, &cordic_stuck_plan(trials), cordic_observe(), config)
 }
 
 /// Runs a seeded fault campaign over the block matmul (N =
@@ -199,12 +150,10 @@ pub fn faults_text() -> String {
 /// that telemetry never touches the deterministic record.
 pub fn faults_text_with_telemetry(telemetry: Option<&Telemetry>) -> String {
     let cordic_a = cordic_campaign(REPORT_SEED, REPORT_TRIALS);
-    let cordic_b = cordic_campaign_parallel_telemetry(
-        REPORT_SEED,
-        REPORT_TRIALS,
-        default_workers(),
-        telemetry,
-    );
+    let run = CampaignRun { workers: default_workers(), telemetry, journal: None };
+    let (cordic_b, _) =
+        run_cordic(&cordic_plan(REPORT_SEED, REPORT_TRIALS), CampaignConfig::default(), &run)
+            .expect("an unjournaled campaign does no I/O");
     assert_eq!(cordic_a, cordic_b, "serial and parallel campaigns must agree bit for bit");
     let matmul = matmul_campaign(REPORT_SEED, REPORT_TRIALS);
     let mut s = String::new();
@@ -249,7 +198,9 @@ mod tests {
     fn parallel_campaign_matches_serial() {
         let serial = cordic_campaign(5, 16);
         for workers in [1, 3, 8] {
-            let parallel = cordic_campaign_parallel(5, 16, workers);
+            let run = CampaignRun { workers, ..CampaignRun::default() };
+            let (parallel, _) =
+                run_cordic(&cordic_plan(5, 16), CampaignConfig::default(), &run).unwrap();
             assert_eq!(serial, parallel, "workers={workers}");
         }
     }

@@ -21,15 +21,15 @@
 //! reports agree bit for bit — the same check CI gates on.
 
 use crate::faults::{
-    default_workers, golden_cycles, observe_words, CORDIC_ITERS, CORDIC_P, MATMUL_N, MATMUL_NB,
-    REPORT_SEED,
+    cordic_observe, default_workers, golden_cycles, observe_words, CORDIC_ITERS, CORDIC_P,
+    MATMUL_N, MATMUL_NB, REPORT_SEED,
 };
 use crate::tables::json_f64;
 use softsim_cosim::CoSim;
 use softsim_resilience::{
-    random_plan_hardware, run_campaign, run_recovery_campaign, run_recovery_campaign_parallel,
-    CampaignConfig, CampaignReport, Injection, Outcome, RecoveryOutcome, RecoveryPolicy,
-    RecoveryReport,
+    random_plan_hardware, run_campaign, run_recovery_campaign, CampaignConfig, CampaignReport,
+    CampaignRun, DurabilityStatus, Injection, JournalError, Outcome, RecoveryOutcome,
+    RecoveryPolicy, RecoveryReport,
 };
 
 /// One hardening configuration of the recovery matrix.
@@ -129,18 +129,13 @@ fn matmul_sim(h: Hardening) -> CoSim {
     crate::workloads::matmul_cosim_hardened(MATMUL_N, MATMUL_NB, h.ecc, h.tmr)
 }
 
-/// The CORDIC recovery plan plus its observable window. The window is
-/// derived from the *unhardened* golden run so all four hardenings
-/// sweep the identical fault schedule and the conversion rates compare
-/// like for like.
-pub(crate) fn cordic_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
+/// The CORDIC recovery plan. Its injection window is derived from the
+/// *unhardened* golden run so all four hardenings sweep the identical
+/// fault schedule and the conversion rates compare like for like.
+fn cordic_plan(seed: u64, trials: usize) -> Vec<Injection> {
     let img = crate::workloads::cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
     let golden = golden_cycles(cordic_sim(HARDENINGS[0]));
-    let plan =
-        random_plan_hardware(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0]);
-    (plan, base, n)
+    random_plan_hardware(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0])
 }
 
 /// The matmul recovery plan plus its observable window.
@@ -160,44 +155,44 @@ fn run_row(
     h: Hardening,
     make_sim: impl Fn() -> CoSim,
     plan: &[Injection],
-    base: u32,
-    n: usize,
+    observe: impl Fn(&CoSim) -> Vec<u32> + Copy,
 ) -> RecoveryRow {
-    let mut sim = make_sim();
-    let baseline =
-        run_campaign(&mut sim, plan, |s| observe_words(s, base, n), CampaignConfig::default());
-    let mut sim = make_sim();
-    let supervised =
-        run_recovery_campaign(&mut sim, plan, |s| observe_words(s, base, n), report_policy());
+    let baseline = run_campaign(&mut make_sim(), plan, observe, CampaignConfig::default());
+    let supervised = run_recovery_campaign(&mut make_sim(), plan, observe, report_policy());
     RecoveryRow { workload, hardening: h, baseline, supervised }
 }
 
 /// All four hardenings of the CORDIC workload over one seeded plan.
 pub fn cordic_recovery_rows(seed: u64, trials: usize) -> Vec<RecoveryRow> {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    HARDENINGS.iter().map(|&h| run_row("cordic", h, || cordic_sim(h), &plan, base, n)).collect()
+    let plan = cordic_plan(seed, trials);
+    let observe = cordic_observe();
+    HARDENINGS.iter().map(|&h| run_row("cordic", h, || cordic_sim(h), &plan, observe)).collect()
 }
 
 /// All four hardenings of the matmul workload over one seeded plan.
 pub fn matmul_recovery_rows(seed: u64, trials: usize) -> Vec<RecoveryRow> {
     let (plan, base, n) = matmul_plan(seed, trials);
-    HARDENINGS.iter().map(|&h| run_row("matmul", h, || matmul_sim(h), &plan, base, n)).collect()
+    let observe = move |s: &CoSim| observe_words(s, base, n);
+    HARDENINGS.iter().map(|&h| run_row("matmul", h, || matmul_sim(h), &plan, observe)).collect()
 }
 
-/// The supervised fully-hardened (ecc+tmr) CORDIC campaign on `workers`
-/// threads. Byte-identical to the corresponding serial row with the
-/// same seed and trial count — the determinism check the report and CI
-/// gate on.
-pub fn cordic_recovery_parallel(seed: u64, trials: usize, workers: usize) -> RecoveryReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
+/// The seeded supervised fully-hardened (ecc+tmr) CORDIC campaign, run
+/// as `run` says (workers, telemetry, journal). Byte-identical to the
+/// corresponding serial row with the same seed and trial count — the
+/// determinism check the report and CI gate on.
+pub fn cordic_recovery_run(
+    seed: u64,
+    trials: usize,
+    run: &CampaignRun,
+) -> Result<(RecoveryReport, DurabilityStatus), JournalError> {
     let h = HARDENINGS[3];
-    run_recovery_campaign_parallel(
-        || cordic_sim(h),
-        &plan,
-        move |s| observe_words(s, base, n),
-        report_policy(),
-        workers,
-    )
+    run.run(report_policy(), || cordic_sim(h), &cordic_plan(seed, trials), cordic_observe())
+}
+
+/// [`cordic_recovery_run`] on `workers` threads, unjournaled.
+fn cordic_recovery_parallel(seed: u64, trials: usize, workers: usize) -> RecoveryReport {
+    let run = CampaignRun { workers, ..CampaignRun::default() };
+    cordic_recovery_run(seed, trials, &run).expect("an unjournaled campaign does no I/O").0
 }
 
 /// Formats the matrix rows of one workload as an aligned table body.

@@ -13,11 +13,11 @@
 //! equality is not.
 
 use crate::faults::{
-    cordic_campaign_parallel, cordic_campaign_with, cordic_stuck_campaign,
-    cordic_stuck_campaign_parallel, default_workers, REPORT_SEED, REPORT_TRIALS,
+    cordic_campaign_with, cordic_plan, cordic_stuck_campaign, cordic_stuck_plan, default_workers,
+    run_cordic, REPORT_SEED, REPORT_TRIALS,
 };
 use crate::tables::{figure5_with, json_f64};
-use softsim_resilience::CampaignConfig;
+use softsim_resilience::{CampaignConfig, CampaignReport, CampaignRun, Injection};
 use std::time::Instant;
 
 /// Wall-clock seconds `f` takes, with its result.
@@ -25,6 +25,14 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let r = f();
     (start.elapsed().as_secs_f64(), r)
+}
+
+/// `plan` over the CORDIC divider on `workers` threads.
+fn parallel(plan: &[Injection], workers: usize) -> CampaignReport {
+    let run = CampaignRun { workers, ..CampaignRun::default() };
+    run_cordic(plan, CampaignConfig::default(), &run)
+        .expect("an unjournaled campaign does no I/O")
+        .0
 }
 
 /// The machine-readable `BENCH_0004` record as a JSON string.
@@ -38,14 +46,14 @@ pub fn speedup_json() -> String {
     let (serial_s, serial) = timed(|| cordic_campaign_with(REPORT_SEED, REPORT_TRIALS, stepped));
     let (ff_s, ff) =
         timed(|| cordic_campaign_with(REPORT_SEED, REPORT_TRIALS, CampaignConfig::default()));
-    let (par_s, par) = timed(|| cordic_campaign_parallel(REPORT_SEED, REPORT_TRIALS, workers));
+    let (par_s, par) = timed(|| parallel(&cordic_plan(REPORT_SEED, REPORT_TRIALS), workers));
     assert_eq!(serial, ff, "fast-forwarding must not change the campaign report");
     assert_eq!(serial, par, "the parallel runner must not change the campaign report");
 
     let (stuck_serial_s, stuck_serial) = timed(|| cordic_stuck_campaign(REPORT_TRIALS, stepped));
     let (stuck_ff_s, stuck_ff) =
         timed(|| cordic_stuck_campaign(REPORT_TRIALS, CampaignConfig::default()));
-    let (stuck_par_s, stuck_par) = timed(|| cordic_stuck_campaign_parallel(REPORT_TRIALS, workers));
+    let (stuck_par_s, stuck_par) = timed(|| parallel(&cordic_stuck_plan(REPORT_TRIALS), workers));
     assert_eq!(stuck_serial, stuck_ff, "fast-forwarding must not change the stuck-fault report");
     assert_eq!(
         stuck_serial, stuck_par,

@@ -17,11 +17,12 @@
 //! and recorded — one bad trial can no longer poison a campaign or
 //! tear down a worker thread).
 
+use crate::durable::JournalError;
+use crate::engine::{run_borrowed, sealed::Sealed, TrialKind};
 use crate::inject::{Injection, Injector};
 use softsim_cosim::{CoSim, CoSimState, CoSimStop};
 use softsim_iss::CpuStats;
-use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use softsim_metrics::telemetry::SpanRecord;
 use std::time::{Duration, Instant};
 
 /// SEU outcome classification of one fault-injection trial.
@@ -266,7 +267,7 @@ impl CampaignReport {
     }
 }
 
-/// Runs a fault-injection campaign.
+/// Runs a fault-injection campaign serially on the caller's simulator.
 ///
 /// `sim` is the system under test, positioned at its initial state (it
 /// is checkpointed immediately, and restored from that checkpoint for
@@ -280,7 +281,9 @@ impl CampaignReport {
 /// classified [`Outcome::HarnessError`] — subsequent trials still run.
 /// The whole procedure is deterministic (wall-clock budgets aside): an
 /// identical `sim`, `plan` and `observe` produce a byte-identical
-/// report.
+/// report, equal to [`crate::CampaignRun::run`]'s at any worker count.
+/// On return `sim` is back at its initial state, watchdog cleared, with
+/// its prior fast-forward flag.
 ///
 /// # Panics
 /// Panics if the golden run does not halt within the configured budget
@@ -291,194 +294,101 @@ pub fn run_campaign(
     observe: impl Fn(&CoSim) -> Vec<u32>,
     config: CampaignConfig,
 ) -> CampaignReport {
-    run_campaign_with_telemetry(sim, plan, observe, config, None)
+    run_borrowed(config, sim, plan, &observe)
 }
 
-/// [`run_campaign`] with optional harness telemetry. The report is
-/// byte-identical whether `telemetry` is `None` or `Some` — spans carry
-/// wall-clock data out-of-band (golden span, one trial span per
-/// injection, one campaign span), never into the report.
-pub fn run_campaign_with_telemetry(
-    sim: &mut CoSim,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32>,
-    config: CampaignConfig,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let campaign_start = telemetry.map(|t| {
-        t.expect_trials(plan.len() as u64);
-        Instant::now()
-    });
-    let prev_fast_forward = sim.fast_forward();
-    sim.set_fast_forward(config.fast_forward);
-    let initial = sim.save_state();
-    let initial_cycles = sim.cpu().stats().cycles;
-    let golden_start = telemetry.map(|_| Instant::now());
-    let (golden_cycles, golden_observed, budget) = golden_run(sim, &observe, config);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden_cycles.saturating_sub(initial_cycles);
-        t.record(rec);
-    }
-    let scope = telemetry.map(|t| TrialScope { telemetry: t, worker: 0, initial_cycles });
+/// The golden reference of an unsupervised campaign: the initial
+/// checkpoint, the fault-free run's halt cycle and observables, and the
+/// padded per-trial cycle budget derived from them.
+#[derive(Debug, Clone)]
+pub struct CampaignGolden {
+    initial: CoSimState,
+    initial_cycles: u64,
+    cycles: u64,
+    observed: Vec<u32>,
+    budget: u64,
+}
 
-    let mut trials = Vec::with_capacity(plan.len());
-    for &injection in plan {
-        trials.push(run_trial_guarded(
-            sim,
-            None,
-            &initial,
+impl Sealed for CampaignConfig {}
+
+impl TrialKind for CampaignConfig {
+    type Golden = CampaignGolden;
+    type Trial = Trial;
+    type Report = CampaignReport;
+    const JOURNAL_KIND: u8 = crate::durable::KIND_CAMPAIGN;
+
+    fn fast_forward(&self) -> Option<bool> {
+        Some(self.fast_forward)
+    }
+
+    fn harness_retries(&self) -> (u32, Duration) {
+        (self.max_trial_retries, self.retry_backoff)
+    }
+
+    fn golden(&self, sim: &mut CoSim, observe: &dyn Fn(&CoSim) -> Vec<u32>) -> CampaignGolden {
+        let initial = sim.save_state();
+        let initial_cycles = sim.cpu().stats().cycles;
+        let stop = sim.run(self.budget_floor * self.budget_factor.max(1));
+        assert_eq!(stop, CoSimStop::Halted, "golden run must halt, got: {stop}");
+        let cycles = sim.cpu().stats().cycles;
+        let budget = cycles * self.budget_factor + self.budget_floor;
+        CampaignGolden { initial, initial_cycles, cycles, observed: observe(sim), budget }
+    }
+
+    fn initial(golden: &CampaignGolden) -> &CoSimState {
+        &golden.initial
+    }
+
+    fn golden_work(golden: &CampaignGolden) -> u64 {
+        golden.cycles.saturating_sub(golden.initial_cycles)
+    }
+
+    fn trial(
+        &self,
+        sim: &mut CoSim,
+        golden: &CampaignGolden,
+        injection: Injection,
+        observe: &dyn Fn(&CoSim) -> Vec<u32>,
+        retries: u32,
+    ) -> Trial {
+        Trial { retries, ..run_trial(sim, golden, injection, observe, *self) }
+    }
+
+    fn abandoned(injection: Injection, panic_msg: String, retries: u32) -> Trial {
+        Trial {
             injection,
-            budget,
-            &golden_observed,
-            &observe,
-            config,
-            scope.as_ref(),
-        ));
-    }
-    sim.load_state(&initial);
-    sim.clear_watchdog();
-    sim.set_fast_forward(prev_fast_forward);
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    CampaignReport { golden_cycles, golden_observed, trials }
-}
-
-/// Runs a fault-injection campaign on worker threads.
-///
-/// Byte-identical to [`run_campaign`] with the same plan, configuration
-/// and workload: every trial is independent given the shared initial
-/// checkpoint and the golden reference, each worker runs the same
-/// per-trial procedure ([`run_trial`] is shared between the serial and
-/// parallel runners), and results are merged in plan order — so the
-/// report, and any text rendered from it, does not depend on `workers`
-/// or on thread scheduling.
-///
-/// `make_sim` builds one fresh co-simulator per worker (a [`CoSim`]
-/// holds non-`Send` observers, so simulators cannot migrate across
-/// threads); each must have the same image and peripheral shape. The
-/// golden run executes once, on the calling thread. A trial that
-/// panics the harness is caught inside the worker and classified
-/// [`Outcome::HarnessError`] — the worker rebuilds its simulator via
-/// `make_sim` and keeps draining its share of the plan.
-///
-/// # Panics
-/// Panics if the golden run does not halt within the configured budget
-/// floor times the factor, or if `make_sim` builds a simulator whose
-/// shape does not match the checkpoint.
-pub fn run_campaign_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    workers: usize,
-) -> CampaignReport {
-    run_campaign_parallel_with_telemetry(make_sim, plan, observe, config, workers, None)
-}
-
-/// [`run_campaign_parallel`] with optional harness telemetry: each
-/// worker records one trial span per plan entry it drains (worker ids
-/// follow chunk order, so worker `w` covers `plan[w*chunk..]`). The
-/// report stays byte-identical for any `telemetry`/`workers` choice.
-pub fn run_campaign_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let campaign_start = telemetry.map(|t| {
-        t.expect_trials(plan.len() as u64);
-        Instant::now()
-    });
-    let mut sim = make_sim();
-    sim.set_fast_forward(config.fast_forward);
-    let initial = sim.save_state();
-    let initial_cycles = sim.cpu().stats().cycles;
-    let golden_start = telemetry.map(|_| Instant::now());
-    let (golden_cycles, golden_observed, budget) = golden_run(&mut sim, &observe, config);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden_cycles.saturating_sub(initial_cycles);
-        t.record(rec);
-    }
-    drop(sim);
-
-    let workers = workers.clamp(1, plan.len().max(1));
-    let mut trials: Vec<Option<Trial>> = vec![None; plan.len()];
-    std::thread::scope(|scope| {
-        // Contiguous chunks: worker w gets plan[w*chunk .. (w+1)*chunk]
-        // and writes into the matching result slots, so the merge below
-        // is a plain unwrap in plan order.
-        let chunk = plan.len().div_ceil(workers);
-        let mut slots = trials.as_mut_slice();
-        let mut rest = plan;
-        let (initial, golden_observed) = (&initial, &golden_observed);
-        let (make_sim, observe) = (&make_sim, &observe);
-        let mut worker_id: u32 = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (plan_chunk, plan_rest) = rest.split_at(take);
-            let (slot_chunk, slot_rest) = slots.split_at_mut(take);
-            rest = plan_rest;
-            slots = slot_rest;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let mut sim = make_sim();
-                sim.set_fast_forward(config.fast_forward);
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                let scope_rec =
-                    telemetry.map(|t| TrialScope { telemetry: t, worker, initial_cycles });
-                for (slot, &injection) in slot_chunk.iter_mut().zip(plan_chunk) {
-                    *slot = Some(run_trial_guarded(
-                        &mut sim,
-                        Some(rebuild),
-                        initial,
-                        injection,
-                        budget,
-                        golden_observed,
-                        observe,
-                        config,
-                        scope_rec.as_ref(),
-                    ));
-                }
-            });
+            applied: false,
+            stop: CoSimStop::CycleLimit { blocked: None },
+            outcome: Outcome::HarnessError { panic_msg },
+            retries,
+            cpu_stats: CpuStats::default(),
+            hw_stats: softsim_cosim::HwStats::default(),
         }
-    });
-    let trials = trials.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
     }
-    CampaignReport { golden_cycles, golden_observed, trials }
-}
 
-/// The golden (fault-free) reference run: returns its cycle count, its
-/// observables and the padded per-trial budget derived from it.
-pub(crate) fn golden_run(
-    sim: &mut CoSim,
-    observe: &impl Fn(&CoSim) -> Vec<u32>,
-    config: CampaignConfig,
-) -> (u64, Vec<u32>, u64) {
-    let golden_budget = config.budget_floor * config.budget_factor.max(1);
-    let stop = sim.run(golden_budget);
-    assert_eq!(stop, CoSimStop::Halted, "golden run must halt, got: {stop}");
-    let golden_cycles = sim.cpu().stats().cycles;
-    let golden_observed = observe(sim);
-    let budget = golden_cycles * config.budget_factor + config.budget_floor;
-    (golden_cycles, golden_observed, budget)
-}
+    fn span(golden: &CampaignGolden, trial: &Trial, retry_wall: Duration, rec: &mut SpanRecord) {
+        // Cycles *executed*: the final counter less the checkpoint's.
+        rec.sim_cycles = trial.cpu_stats.cycles.saturating_sub(golden.initial_cycles);
+        rec.retries = trial.retries as u64;
+        rec.retry_wall = retry_wall;
+        rec.budget_cancelled = matches!(trial.outcome, Outcome::Budget) as u64;
+        rec.abandoned = matches!(trial.outcome, Outcome::HarnessError { .. }) as u64;
+    }
 
-/// Best-effort string rendering of a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+    fn plan_hash(&self, plan: &[Injection], golden: &CampaignGolden) -> u64 {
+        crate::durable::campaign_plan_hash(plan, *self, golden.cycles, &golden.observed)
+    }
+
+    fn encode(trial: &Trial, out: &mut Vec<u8>) {
+        crate::durable::put_trial(out, trial);
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Trial, JournalError> {
+        crate::durable::decode_trial(bytes)
+    }
+
+    fn report(golden: CampaignGolden, trials: Vec<Trial>) -> CampaignReport {
+        CampaignReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials }
     }
 }
 
@@ -490,144 +400,20 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// that finishes in time computes.
 const WALL_SLICE: u64 = 16_384;
 
-/// Telemetry context one worker threads through its trials: the hub,
-/// the worker's id, and the cycle counter value of the initial
-/// checkpoint (subtracted from a trial's final cycle counter so the
-/// span carries cycles *executed*, matching the report exactly).
-pub(crate) struct TrialScope<'a> {
-    pub telemetry: &'a Telemetry,
-    pub worker: u32,
-    pub initial_cycles: u64,
-}
-
-impl TrialScope<'_> {
-    /// Closes one trial span. `first_attempt_end` marks the end of the
-    /// first attempt, so everything after it — backoff sleeps included —
-    /// is retry wall-time. Fast-forward counters are deltas against the
-    /// worker's simulator (saturating: a rebuild after a panic resets
-    /// them).
-    fn record_trial(
-        &self,
-        sim: &CoSim,
-        trial: &Trial,
-        start: Instant,
-        first_attempt_end: Instant,
-        ff0: u64,
-        ffc0: u64,
-    ) {
-        let mut rec = SpanRecord::new(SpanKind::Trial, self.worker, start.elapsed());
-        rec.sim_cycles = trial.cpu_stats.cycles.saturating_sub(self.initial_cycles);
-        rec.retries = trial.retries as u64;
-        rec.retry_wall =
-            if trial.retries > 0 { first_attempt_end.elapsed() } else { Duration::ZERO };
-        rec.budget_cancelled = matches!(trial.outcome, Outcome::Budget) as u64;
-        rec.abandoned = matches!(trial.outcome, Outcome::HarnessError { .. }) as u64;
-        rec.ff_engagements = sim.ff_engagements().saturating_sub(ff0);
-        rec.ff_skipped_cycles = sim.ff_skipped_cycles().saturating_sub(ffc0);
-        self.telemetry.record(rec);
-    }
-}
-
-/// [`run_trial`] wrapped in [`catch_unwind`]: a panicking trial is
-/// retried up to `config.max_trial_retries` times with bounded
-/// exponential backoff, then abandoned as [`Outcome::HarnessError`].
-/// `rebuild` (the parallel runners' `make_sim`) replaces a simulator
-/// the panic may have left inconsistent; the serial runner passes
-/// `None` and relies on the next trial's checkpoint restore.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_trial_guarded(
-    sim: &mut CoSim,
-    rebuild: Option<&dyn Fn() -> CoSim>,
-    initial: &CoSimState,
-    injection: Injection,
-    budget: u64,
-    golden_observed: &[u32],
-    observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
-    config: CampaignConfig,
-    scope: Option<&TrialScope<'_>>,
-) -> Trial {
-    let start = scope.map(|_| Instant::now());
-    let ff0 = sim.ff_engagements();
-    let ffc0 = sim.ff_skipped_cycles();
-    let mut first_attempt_end: Option<Instant> = None;
-    let mut attempt = 0u32;
-    loop {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_trial(sim, initial, injection, budget, golden_observed, observe, config)
-        }));
-        if scope.is_some() && first_attempt_end.is_none() {
-            first_attempt_end = Some(Instant::now());
-        }
-        match result {
-            Ok(mut trial) => {
-                trial.retries = attempt;
-                if let Some(sc) = scope {
-                    sc.record_trial(
-                        sim,
-                        &trial,
-                        start.unwrap(),
-                        first_attempt_end.unwrap(),
-                        ff0,
-                        ffc0,
-                    );
-                }
-                return trial;
-            }
-            Err(payload) => {
-                let panic_msg = panic_message(payload);
-                if let Some(make) = rebuild {
-                    // The panic may have unwound mid-step; a fresh
-                    // simulator is the only state guaranteed clean.
-                    *sim = make();
-                    sim.set_fast_forward(config.fast_forward);
-                }
-                if attempt >= config.max_trial_retries {
-                    let trial = Trial {
-                        injection,
-                        applied: false,
-                        stop: CoSimStop::CycleLimit { blocked: None },
-                        outcome: Outcome::HarnessError { panic_msg },
-                        retries: attempt,
-                        cpu_stats: CpuStats::default(),
-                        hw_stats: softsim_cosim::HwStats::default(),
-                    };
-                    if let Some(sc) = scope {
-                        sc.record_trial(
-                            sim,
-                            &trial,
-                            start.unwrap(),
-                            first_attempt_end.unwrap(),
-                            ff0,
-                            ffc0,
-                        );
-                    }
-                    return trial;
-                }
-                let backoff = config.retry_backoff.saturating_mul(1u32 << attempt.min(16));
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// One injection trial, the procedure both runners share: restore the
-/// initial checkpoint, run to the injection cycle (a fault this early is
-/// impossible fault-free, but cheap to guard), apply the fault, arm the
-/// watchdog, run under the padded budget — tightened by the explicit
-/// per-trial budgets when configured — and classify.
+/// One injection trial: restore the initial checkpoint, run to the
+/// injection cycle (a fault this early is impossible fault-free, but
+/// cheap to guard), apply the fault, arm the watchdog, run under the
+/// padded budget — tightened by the explicit per-trial budgets when
+/// configured — and classify.
 fn run_trial(
     sim: &mut CoSim,
-    initial: &CoSimState,
+    golden: &CampaignGolden,
     injection: Injection,
-    budget: u64,
-    golden_observed: &[u32],
-    observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
+    observe: &dyn Fn(&CoSim) -> Vec<u32>,
     config: CampaignConfig,
 ) -> Trial {
-    sim.load_state(initial);
+    let budget = golden.budget;
+    sim.load_state(&golden.initial);
     // The pre-injection prefix must replay the golden prefix exactly, so
     // no watchdog (the previous trial's stays armed across restore) and
     // a budget that stops precisely at the injection cycle.
@@ -654,7 +440,7 @@ fn run_trial(
         }
     };
     let outcome = match &stop {
-        CoSimStop::Halted if observe(sim) == golden_observed => Outcome::Masked,
+        CoSimStop::Halted if observe(sim) == golden.observed => Outcome::Masked,
         CoSimStop::Halted => Outcome::Sdc,
         CoSimStop::CycleLimit { .. } if budget_cancelled => Outcome::Budget,
         CoSimStop::Deadlock { .. } | CoSimStop::CycleLimit { .. } => Outcome::Deadlock,

@@ -47,23 +47,20 @@
 //! and must not leave a corrupt frame for the next resume to trip on.
 //! So the append path *degrades*: on the first failed append the file
 //! is truncated back to the last good frame, journaling stops, the
-//! campaign finishes in memory, and the `_with_status` runners report a
-//! [`DurabilityStatus`] with `durable = false` and a warning naming the
-//! failure. [`AppendFaultPlan`] injects exactly these failures in tests
-//! (the same philosophy as [`FaultKind::HarnessPanic`] for trial
-//! isolation: the degradation path stays provable end to end).
+//! campaign finishes in memory, and the engine
+//! ([`crate::CampaignRun::run`]) reports a [`DurabilityStatus`] with
+//! `durable = false` and a warning naming the failure.
+//! [`AppendFaultPlan`] injects exactly these failures in tests (the same
+//! philosophy as [`FaultKind::HarnessPanic`] for trial isolation: the
+//! degradation path stays provable end to end).
 
-use crate::campaign::{
-    golden_run, run_trial_guarded, CampaignConfig, CampaignReport, Outcome, Trial, TrialScope,
-};
+use crate::campaign::{CampaignConfig, Outcome, Trial};
+use crate::engine::{JournalOptions, Slots, TrialKind};
 use crate::inject::{FaultKind, Injection};
-use crate::recover::{
-    run_recovery_trial_guarded, RecoveryOutcome, RecoveryPolicy, RecoveryReport, RecoveryTrial,
-    Supervisor,
-};
+use crate::recover::{RecoveryOutcome, RecoveryPolicy, RecoveryTrial};
 use crate::snapshot::crc32;
 use softsim_bus::MemError;
-use softsim_cosim::{CoSim, CoSimStop, DeadlockCause, HwStats};
+use softsim_cosim::{CoSimStop, DeadlockCause, HwStats};
 use softsim_isa::DecodeError;
 use softsim_iss::{CpuStats, Fault, FslBlock};
 use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
@@ -81,9 +78,9 @@ pub const MAGIC: [u8; 4] = *b"SSJL";
 pub const VERSION: u32 = 1;
 
 /// Header `kind` byte of a fault-campaign journal.
-const KIND_CAMPAIGN: u8 = 0;
+pub(crate) const KIND_CAMPAIGN: u8 = 0;
 /// Header `kind` byte of a recovery-campaign journal.
-const KIND_RECOVERY: u8 = 1;
+pub(crate) const KIND_RECOVERY: u8 = 1;
 
 /// Fixed header size: magic + version + kind + plan hash + trial count
 /// + CRC trailer.
@@ -103,7 +100,7 @@ const MAX_PANIC_MSG: usize = 4096;
 /// count must fail typed instead of attempting a huge allocation.
 const MAX_TRIALS: usize = 1 << 22;
 
-/// Environment variable read by the durable runners: when set to `N`,
+/// Environment variable read by journaled runs: when set to `N`,
 /// the process exits with status 3 immediately after the `N`-th record
 /// append of this run. A crash-test hook for interrupt-and-resume
 /// testing (CI kills a campaign "partway" deterministically with it) —
@@ -136,9 +133,9 @@ impl std::error::Error for EnvConfigError {}
 
 /// Strictly parses [`ABORT_ENV`]: unset → `None`, a positive integer →
 /// `Some(n)`, anything else (including `0`) → a typed
-/// [`EnvConfigError`]. The durable runners call this on entry, so an
-/// invalid value surfaces as [`JournalError::Config`] before any trial
-/// runs; CLIs should call it eagerly for a clearer message.
+/// [`EnvConfigError`]. Journaled runs call this once the journal is
+/// open, so an invalid value surfaces as [`JournalError::Config`] before
+/// any trial runs; CLIs should call it eagerly for a clearer message.
 pub fn abort_after_trials_from_env() -> Result<Option<u64>, EnvConfigError> {
     match std::env::var(ABORT_ENV) {
         Err(_) => Ok(None),
@@ -185,13 +182,14 @@ pub struct AppendFaultPlan {
     pub after_appends: u32,
 }
 
-/// How durable a journaled run actually was, reported by the
-/// `_with_status` runners. The campaign report itself is byte-identical
+/// How durable a run actually was, returned with every campaign report
+/// by [`crate::CampaignRun::run`]. The report itself is byte-identical
 /// either way — only the journal's fate differs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityStatus {
     /// `true` when every completed trial reached the journal; `false`
-    /// when an append failed and journaling stopped.
+    /// when an append failed and journaling stopped, or when the run
+    /// was not journaled at all.
     pub durable: bool,
     /// Records appended by this run (not counting resumed ones).
     pub appended: u32,
@@ -240,7 +238,7 @@ pub enum JournalError {
     },
     /// A field held a value that cannot occur in a real journal.
     Corrupt(&'static str),
-    /// An environment knob the durable runners read was set to an
+    /// An environment knob journaled runs read was set to an
     /// unusable value (see [`abort_after_trials_from_env`]).
     Config(EnvConfigError),
 }
@@ -723,7 +721,7 @@ fn get_outcome(r: &mut Rd) -> Result<Outcome, JournalError> {
     })
 }
 
-fn put_trial(out: &mut Vec<u8>, t: &Trial) {
+pub(crate) fn put_trial(out: &mut Vec<u8>, t: &Trial) {
     put_injection(out, &t.injection);
     put_bool(out, t.applied);
     put_stop(out, &t.stop);
@@ -806,7 +804,7 @@ fn get_detector(r: &mut Rd) -> Result<Option<DetectorKind>, JournalError> {
     })
 }
 
-fn put_recovery_trial(out: &mut Vec<u8>, t: &RecoveryTrial) {
+pub(crate) fn put_recovery_trial(out: &mut Vec<u8>, t: &RecoveryTrial) {
     put_injection(out, &t.injection);
     put_bool(out, t.applied);
     put_recovery_outcome(out, &t.outcome);
@@ -826,6 +824,28 @@ fn get_recovery_trial(r: &mut Rd) -> Result<RecoveryTrial, JournalError> {
     })
 }
 
+/// Decodes a fault-campaign trial that must span all of `bytes`.
+pub(crate) fn decode_trial(bytes: &[u8]) -> Result<Trial, JournalError> {
+    decode_all(bytes, get_trial)
+}
+
+/// Decodes a recovery trial that must span all of `bytes`.
+pub(crate) fn decode_recovery_trial(bytes: &[u8]) -> Result<RecoveryTrial, JournalError> {
+    decode_all(bytes, get_recovery_trial)
+}
+
+fn decode_all<T>(
+    bytes: &[u8],
+    get: fn(&mut Rd) -> Result<T, JournalError>,
+) -> Result<T, JournalError> {
+    let mut r = Rd { bytes, pos: 0 };
+    let value = get(&mut r)?;
+    if r.pos != bytes.len() {
+        return Err(JournalError::Corrupt("trailing bytes after the trial"));
+    }
+    Ok(value)
+}
+
 // ------------------------------------------------------------- plan hashes
 
 /// FNV-1a 64-bit digest.
@@ -843,52 +863,54 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// golden reference. The wall-clock budget and retry backoff are
 /// deliberately excluded — they are machine-local tuning, not part of
 /// what the campaign computes.
-fn campaign_plan_hash(
+pub(crate) fn campaign_plan_hash(
     plan: &[Injection],
     config: CampaignConfig,
     golden_cycles: u64,
     golden_observed: &[u32],
 ) -> u64 {
-    let mut buf = Vec::with_capacity(64 + plan.len() * 16 + golden_observed.len() * 4);
-    put_u64(&mut buf, config.watchdog_threshold);
-    put_u64(&mut buf, config.budget_factor);
-    put_u64(&mut buf, config.budget_floor);
-    put_bool(&mut buf, config.fast_forward);
+    let mut knobs = Vec::with_capacity(64);
+    put_u64(&mut knobs, config.watchdog_threshold);
+    put_u64(&mut knobs, config.budget_factor);
+    put_u64(&mut knobs, config.budget_floor);
+    put_bool(&mut knobs, config.fast_forward);
     match config.trial_cycle_budget {
-        None => put_u8(&mut buf, 0),
+        None => put_u8(&mut knobs, 0),
         Some(v) => {
-            put_u8(&mut buf, 1);
-            put_u64(&mut buf, v);
+            put_u8(&mut knobs, 1);
+            put_u64(&mut knobs, v);
         }
     }
-    put_u32(&mut buf, plan.len() as u32);
-    for inj in plan {
-        put_injection(&mut buf, inj);
-    }
-    put_u64(&mut buf, golden_cycles);
-    put_u32(&mut buf, golden_observed.len() as u32);
-    for &w in golden_observed {
-        put_u32(&mut buf, w);
-    }
-    fnv1a64(&buf)
+    plan_hash(knobs, plan, golden_cycles, golden_observed)
 }
 
 /// Hash of a recovery campaign's deterministic identity (policy knobs,
 /// plan, golden reference).
-fn recovery_plan_hash(
+pub(crate) fn recovery_plan_hash(
     plan: &[Injection],
     policy: RecoveryPolicy,
     golden_cycles: u64,
     golden_observed: &[u32],
 ) -> u64 {
-    let mut buf = Vec::with_capacity(64 + plan.len() * 16 + golden_observed.len() * 4);
-    put_u64(&mut buf, policy.checkpoint_every);
-    put_u32(&mut buf, policy.max_retries);
-    put_u64(&mut buf, policy.watchdog_threshold);
-    put_u64(&mut buf, policy.budget_factor);
-    put_u64(&mut buf, policy.budget_floor);
-    put_bool(&mut buf, policy.signature_windows);
-    put_u64(&mut buf, policy.max_kept_checkpoints as u64);
+    let mut knobs = Vec::with_capacity(64);
+    put_u64(&mut knobs, policy.checkpoint_every);
+    put_u32(&mut knobs, policy.max_retries);
+    put_u64(&mut knobs, policy.watchdog_threshold);
+    put_u64(&mut knobs, policy.budget_factor);
+    put_u64(&mut knobs, policy.budget_floor);
+    put_bool(&mut knobs, policy.signature_windows);
+    put_u64(&mut knobs, policy.max_kept_checkpoints as u64);
+    plan_hash(knobs, plan, golden_cycles, golden_observed)
+}
+
+/// Digest of a kind's encoded `knobs` followed by the plan and the
+/// golden reference.
+fn plan_hash(
+    mut buf: Vec<u8>,
+    plan: &[Injection],
+    golden_cycles: u64,
+    golden_observed: &[u32],
+) -> u64 {
     put_u32(&mut buf, plan.len() as u32);
     for inj in plan {
         put_injection(&mut buf, inj);
@@ -927,11 +949,8 @@ impl Header {
 /// Validates the header and walks the record frames of `bytes`.
 /// Header-level damage is a typed error; record-level damage ends the
 /// scan at the last good frame (the tail is reported, not an error).
-fn scan_bytes<T: Clone>(
-    bytes: &[u8],
-    expected_kind: u8,
-    decode: &dyn Fn(&mut Rd) -> Result<T, JournalError>,
-) -> Result<JournalScan<T>, JournalError> {
+fn scan_bytes<K: TrialKind>(bytes: &[u8]) -> Result<JournalScan<K::Trial>, JournalError> {
+    let expected_kind = K::JOURNAL_KIND;
     if bytes.len() < 4 {
         return Err(JournalError::Truncated);
     }
@@ -969,7 +988,7 @@ fn scan_bytes<T: Clone>(
         return Err(JournalError::Corrupt("implausible trial count"));
     }
 
-    let mut completed: Vec<Option<T>> = vec![None; trials];
+    let mut completed: Slots<K::Trial> = vec![None; trials];
     let mut records = 0usize;
     let mut pos = HEADER_LEN;
     while let Some(rest) = bytes.len().checked_sub(pos) {
@@ -993,10 +1012,9 @@ fn scan_bytes<T: Clone>(
         if crc32(payload) != stored {
             break;
         }
-        let mut r = Rd { bytes: payload, pos: 0 };
-        let Ok(index) = r.u32() else { break };
-        let Ok(trial) = decode(&mut r) else { break };
-        if r.pos != payload.len() || index as usize >= trials {
+        let index = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
+        let Ok(trial) = K::decode(&payload[4..]) else { break };
+        if index as usize >= trials {
             break;
         }
         // Duplicate indices resolve last-wins; trials are deterministic
@@ -1015,63 +1033,104 @@ fn scan_bytes<T: Clone>(
     })
 }
 
-/// Reads a fault-campaign journal: which trials completed, under what
-/// plan hash, and how much of the file survived. Pure inspection — the
-/// file is not modified (resume truncates; this does not).
-pub fn resume_from_journal(path: &Path) -> Result<JournalScan<Trial>, JournalError> {
-    let bytes = std::fs::read(path)?;
-    scan_bytes(&bytes, KIND_CAMPAIGN, &get_trial)
-}
-
-/// Reads a recovery-campaign journal; see [`resume_from_journal`].
-pub fn resume_recovery_from_journal(
+/// Reads a journal of campaign kind `K` ([`CampaignConfig`] or
+/// [`RecoveryPolicy`]): which trials completed, under what plan hash,
+/// and how much of the file survived. Pure inspection — the file is not
+/// modified (resume truncates; this does not).
+pub fn resume_from_journal<K: TrialKind>(
     path: &Path,
-) -> Result<JournalScan<RecoveryTrial>, JournalError> {
-    let bytes = std::fs::read(path)?;
-    scan_bytes(&bytes, KIND_RECOVERY, &get_recovery_trial)
+) -> Result<JournalScan<K::Trial>, JournalError> {
+    scan_bytes::<K>(&std::fs::read(path)?)
 }
 
 // ---------------------------------------------------------------- appends
 
-/// Opens the journal for a run: on resume, scan + validate + truncate
-/// the torn tail and return the already-completed slots; otherwise (or
-/// when the file is missing/empty) start fresh with a new header.
-fn open_journal<T: Clone>(
-    path: &Path,
-    header: &Header,
-    resume: bool,
-    decode: &dyn Fn(&mut Rd) -> Result<T, JournalError>,
-) -> Result<(File, Vec<Option<T>>, u64), JournalError> {
-    if resume {
-        match std::fs::read(path) {
-            Ok(bytes) if bytes.is_empty() => {} // crash before the header: fresh start
-            Ok(bytes) => {
-                let scan = scan_bytes(&bytes, header.kind, decode)?;
-                if scan.plan_hash != header.plan_hash {
-                    return Err(JournalError::PlanMismatch {
-                        expected: header.plan_hash,
-                        found: scan.plan_hash,
-                    });
-                }
-                if scan.trials != header.trials as usize {
-                    return Err(JournalError::TrialCountMismatch {
-                        expected: header.trials,
-                        found: scan.trials as u32,
-                    });
-                }
-                let mut file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(scan.good_bytes)?;
-                file.seek(SeekFrom::End(0))?;
-                return Ok((file, scan.completed, scan.good_bytes));
+/// The write side of a journaled run, shared by its workers: the
+/// appender behind a lock, plus the [`ABORT_ENV`] crash-test hook.
+pub(crate) struct Journal {
+    appender: Mutex<Appender>,
+    abort: AbortHook,
+}
+
+impl Journal {
+    /// Opens the journal for a run: with `resume`, scan + validate +
+    /// truncate the torn tail and return the already-completed slots;
+    /// otherwise (or when the file is missing/empty) start fresh with a
+    /// new header. Reads [`ABORT_ENV`] last.
+    pub(crate) fn open<K: TrialKind>(
+        opts: &JournalOptions,
+        plan_hash: u64,
+        trials: usize,
+    ) -> Result<(Journal, Slots<K::Trial>), JournalError> {
+        let header = Header { kind: K::JOURNAL_KIND, plan_hash, trials: trials as u32 };
+        let (file, slots, good_bytes) = match Journal::resume::<K>(opts, &header)? {
+            Some((file, scan)) => (file, scan.completed, scan.good_bytes),
+            None => {
+                let mut file = File::create(opts.path)?;
+                file.write_all(&header.encode())?;
+                file.flush()?;
+                (file, vec![None; trials], HEADER_LEN as u64)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {} // fresh start
+        };
+        let abort = AbortHook::from_env()?;
+        let appender = Mutex::new(Appender::new(file, good_bytes, opts.append_fault));
+        Ok((Journal { appender, abort }, slots))
+    }
+
+    /// The resume half of [`Journal::open`]: the truncated file and what
+    /// it holds, or `None` to start fresh.
+    #[allow(clippy::type_complexity)]
+    fn resume<K: TrialKind>(
+        opts: &JournalOptions,
+        header: &Header,
+    ) -> Result<Option<(File, JournalScan<K::Trial>)>, JournalError> {
+        if !opts.resume {
+            return Ok(None);
+        }
+        let bytes = match std::fs::read(opts.path) {
+            Ok(bytes) if bytes.is_empty() => return Ok(None), // crash before the header
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
+        };
+        let scan = scan_bytes::<K>(&bytes)?;
+        if scan.plan_hash != header.plan_hash {
+            return Err(JournalError::PlanMismatch {
+                expected: header.plan_hash,
+                found: scan.plan_hash,
+            });
+        }
+        if scan.trials != header.trials as usize {
+            return Err(JournalError::TrialCountMismatch {
+                expected: header.trials,
+                found: scan.trials as u32,
+            });
+        }
+        let mut file = OpenOptions::new().write(true).open(opts.path)?;
+        file.set_len(scan.good_bytes)?;
+        file.seek(SeekFrom::End(0))?;
+        Ok(Some((file, scan)))
+    }
+
+    /// Appends one record payload (`trial_index | encoded trial`) as a
+    /// journal-append span, then fires the abort hook if it landed.
+    pub(crate) fn append(&self, payload: &[u8], telemetry: Option<&Telemetry>, worker: u32) {
+        let start = telemetry.map(|_| Instant::now());
+        let appended = lock(&self.appender).append(payload);
+        if let (Some(t), Some(start)) = (telemetry, start) {
+            let mut rec = SpanRecord::new(SpanKind::JournalAppend, worker, start.elapsed());
+            rec.journal_bytes = if appended { 8 + payload.len() as u64 } else { 0 };
+            t.record(rec);
+        }
+        if appended {
+            self.abort.on_append();
         }
     }
-    let mut file = File::create(path)?;
-    file.write_all(&header.encode())?;
-    file.flush()?;
-    Ok((file, vec![None; header.trials as usize], HEADER_LEN as u64))
+
+    /// How durable the run has been so far.
+    pub(crate) fn status(&self) -> DurabilityStatus {
+        lock(&self.appender).status()
+    }
 }
 
 /// The journal's write side: frames appends, tracks the last good byte
@@ -1182,352 +1241,6 @@ impl AbortHook {
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-// ---------------------------------------------------------------- runners
-
-/// [`crate::campaign::run_campaign`] with a durable journal: every
-/// completed trial is appended to `journal` before the campaign moves
-/// on, and with `resume` set a prior journal's trials are loaded
-/// instead of re-executed (after validating the plan hash; the torn
-/// tail of an interrupted run is dropped and re-run). The report is
-/// byte-identical to the plain runner's.
-///
-/// `resume = false` always starts fresh, truncating any existing file;
-/// `resume = true` with no existing journal is also a fresh start.
-pub fn run_campaign_durable(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-) -> Result<CampaignReport, JournalError> {
-    run_campaign_durable_parallel(make_sim, plan, observe, config, journal, resume, 1)
-}
-
-/// [`run_campaign_durable`] on worker threads. Workers append records
-/// in completion order, but resume keys on trial indices and results
-/// merge in plan order — the report (and the resumability of the
-/// journal) is independent of `workers` and of where a previous run was
-/// interrupted.
-pub fn run_campaign_durable_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-) -> Result<CampaignReport, JournalError> {
-    run_campaign_durable_parallel_with_telemetry(
-        make_sim, plan, observe, config, journal, resume, workers, None,
-    )
-}
-
-/// [`run_campaign_durable_parallel`] with optional harness telemetry:
-/// besides the campaign/golden/trial spans of the plain runners, every
-/// journal record append is its own span carrying the frame bytes
-/// written. On resume, only the missing trials are announced as
-/// expected work. The report and the journal bytes are byte-identical
-/// whether `telemetry` is `None` or `Some`, at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_durable_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignReport, JournalError> {
-    let (report, status) = run_campaign_durable_with_status(
-        make_sim, plan, observe, config, journal, resume, workers, telemetry, None,
-    )?;
-    if let Some(w) = &status.warning {
-        eprintln!("warning: {w}");
-    }
-    Ok(report)
-}
-
-/// [`run_campaign_durable_parallel_with_telemetry`] plus the write-side
-/// degradation contract: the returned [`DurabilityStatus`] reports
-/// whether every completed trial reached the journal, and `fault`
-/// injects an [`AppendFaultPlan`] into the write path (tests and
-/// fault-shim callers only — pass `None` in production). A failed
-/// append never fails the campaign: the journal is truncated to its
-/// last good frame and the run continues non-durable, so the report is
-/// byte-identical to the healthy run's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_durable_with_status(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-    fault: Option<AppendFaultPlan>,
-) -> Result<(CampaignReport, DurabilityStatus), JournalError> {
-    let campaign_start = telemetry.map(|_| Instant::now());
-    let mut sim = make_sim();
-    sim.set_fast_forward(config.fast_forward);
-    let initial = sim.save_state();
-    let initial_cycles = sim.cpu().stats().cycles;
-    let golden_start = telemetry.map(|_| Instant::now());
-    let (golden_cycles, golden_observed, budget) = golden_run(&mut sim, &observe, config);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden_cycles.saturating_sub(initial_cycles);
-        t.record(rec);
-    }
-    drop(sim);
-
-    let header = Header {
-        kind: KIND_CAMPAIGN,
-        plan_hash: campaign_plan_hash(plan, config, golden_cycles, &golden_observed),
-        trials: plan.len() as u32,
-    };
-    let (file, mut slots, good_bytes) = open_journal(journal, &header, resume, &get_trial)?;
-    let pending: Vec<u32> =
-        (0..plan.len() as u32).filter(|&i| slots[i as usize].is_none()).collect();
-    if let Some(t) = telemetry {
-        t.expect_trials(pending.len() as u64);
-    }
-
-    let appender = Mutex::new(Appender::new(file, good_bytes, fault));
-    let hook = AbortHook::from_env()?;
-    let workers = workers.clamp(1, pending.len().max(1));
-    let mut fresh: Vec<Option<Trial>> = vec![None; pending.len()];
-    std::thread::scope(|scope| {
-        let chunk = pending.len().div_ceil(workers);
-        let mut slot_rest = fresh.as_mut_slice();
-        let mut idx_rest = pending.as_slice();
-        let (initial, golden_observed) = (&initial, &golden_observed);
-        let (make_sim, observe) = (&make_sim, &observe);
-        let (appender, hook) = (&appender, &hook);
-        let mut worker_id: u32 = 0;
-        while !idx_rest.is_empty() {
-            let take = chunk.min(idx_rest.len());
-            let (idx_chunk, idx_next) = idx_rest.split_at(take);
-            let (slot_chunk, slot_next) = slot_rest.split_at_mut(take);
-            idx_rest = idx_next;
-            slot_rest = slot_next;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let mut sim = make_sim();
-                sim.set_fast_forward(config.fast_forward);
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                let scope_rec =
-                    telemetry.map(|t| TrialScope { telemetry: t, worker, initial_cycles });
-                for (slot, &index) in slot_chunk.iter_mut().zip(idx_chunk) {
-                    let trial = run_trial_guarded(
-                        &mut sim,
-                        Some(rebuild),
-                        initial,
-                        plan[index as usize],
-                        budget,
-                        golden_observed,
-                        observe,
-                        config,
-                        scope_rec.as_ref(),
-                    );
-                    let mut payload = Vec::with_capacity(256);
-                    put_u32(&mut payload, index);
-                    put_trial(&mut payload, &trial);
-                    let append_start = telemetry.map(|_| Instant::now());
-                    let appended = lock(appender).append(&payload);
-                    if let Some(t) = telemetry {
-                        let mut rec = SpanRecord::new(
-                            SpanKind::JournalAppend,
-                            worker,
-                            append_start.unwrap().elapsed(),
-                        );
-                        rec.journal_bytes = if appended { 8 + payload.len() as u64 } else { 0 };
-                        t.record(rec);
-                    }
-                    if appended {
-                        hook.on_append();
-                    }
-                    *slot = Some(trial);
-                }
-            });
-        }
-    });
-    let status = lock(&appender).status();
-    for (&index, trial) in pending.iter().zip(fresh) {
-        slots[index as usize] = trial;
-    }
-    let trials = slots.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    Ok((CampaignReport { golden_cycles, golden_observed, trials }, status))
-}
-
-/// [`crate::recover::run_recovery_campaign`] with a durable journal;
-/// see [`run_campaign_durable`] for the journal and resume semantics.
-pub fn run_recovery_campaign_durable(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-) -> Result<RecoveryReport, JournalError> {
-    run_recovery_campaign_durable_parallel(make_sim, plan, observe, policy, journal, resume, 1)
-}
-
-/// [`run_recovery_campaign_durable`] on worker threads; see
-/// [`run_campaign_durable_parallel`].
-pub fn run_recovery_campaign_durable_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-) -> Result<RecoveryReport, JournalError> {
-    run_recovery_campaign_durable_parallel_with_telemetry(
-        make_sim, plan, observe, policy, journal, resume, workers, None,
-    )
-}
-
-/// [`run_recovery_campaign_durable_parallel`] with optional harness
-/// telemetry; see [`run_campaign_durable_parallel_with_telemetry`] for
-/// the span set and the determinism contract.
-#[allow(clippy::too_many_arguments)]
-pub fn run_recovery_campaign_durable_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> Result<RecoveryReport, JournalError> {
-    let (report, status) = run_recovery_campaign_durable_with_status(
-        make_sim, plan, observe, policy, journal, resume, workers, telemetry, None,
-    )?;
-    if let Some(w) = &status.warning {
-        eprintln!("warning: {w}");
-    }
-    Ok(report)
-}
-
-/// [`run_campaign_durable_with_status`] for recovery campaigns: same
-/// degrade-on-append-failure contract and injectable write faults.
-#[allow(clippy::too_many_arguments)]
-pub fn run_recovery_campaign_durable_with_status(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-    fault: Option<AppendFaultPlan>,
-) -> Result<(RecoveryReport, DurabilityStatus), JournalError> {
-    let campaign_start = telemetry.map(|_| Instant::now());
-    let supervisor = Supervisor::new(policy);
-    let mut sim = make_sim();
-    let golden_start = telemetry.map(|_| Instant::now());
-    let golden = supervisor.capture_golden(&mut sim, &observe);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden.cycles;
-        t.record(rec);
-    }
-    drop(sim);
-
-    let header = Header {
-        kind: KIND_RECOVERY,
-        plan_hash: recovery_plan_hash(plan, policy, golden.cycles, &golden.observed),
-        trials: plan.len() as u32,
-    };
-    let (file, mut slots, good_bytes) =
-        open_journal(journal, &header, resume, &get_recovery_trial)?;
-    let pending: Vec<u32> =
-        (0..plan.len() as u32).filter(|&i| slots[i as usize].is_none()).collect();
-    if let Some(t) = telemetry {
-        t.expect_trials(pending.len() as u64);
-    }
-
-    let appender = Mutex::new(Appender::new(file, good_bytes, fault));
-    let hook = AbortHook::from_env()?;
-    let workers = workers.clamp(1, pending.len().max(1));
-    let mut fresh: Vec<Option<RecoveryTrial>> = vec![None; pending.len()];
-    std::thread::scope(|scope| {
-        let chunk = pending.len().div_ceil(workers);
-        let mut slot_rest = fresh.as_mut_slice();
-        let mut idx_rest = pending.as_slice();
-        let golden = &golden;
-        let (make_sim, observe) = (&make_sim, &observe);
-        let (appender, hook) = (&appender, &hook);
-        let mut worker_id: u32 = 0;
-        while !idx_rest.is_empty() {
-            let take = chunk.min(idx_rest.len());
-            let (idx_chunk, idx_next) = idx_rest.split_at(take);
-            let (slot_chunk, slot_next) = slot_rest.split_at_mut(take);
-            idx_rest = idx_next;
-            slot_rest = slot_next;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let supervisor = Supervisor::new(policy);
-                let mut sim = make_sim();
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                for (slot, &index) in slot_chunk.iter_mut().zip(idx_chunk) {
-                    let trial = run_recovery_trial_guarded(
-                        &supervisor,
-                        &mut sim,
-                        Some(rebuild),
-                        golden,
-                        plan[index as usize],
-                        observe,
-                        telemetry,
-                        worker,
-                    );
-                    let mut payload = Vec::with_capacity(256);
-                    put_u32(&mut payload, index);
-                    put_recovery_trial(&mut payload, &trial);
-                    let append_start = telemetry.map(|_| Instant::now());
-                    let appended = lock(appender).append(&payload);
-                    if let Some(t) = telemetry {
-                        let mut rec = SpanRecord::new(
-                            SpanKind::JournalAppend,
-                            worker,
-                            append_start.unwrap().elapsed(),
-                        );
-                        rec.journal_bytes = if appended { 8 + payload.len() as u64 } else { 0 };
-                        t.record(rec);
-                    }
-                    if appended {
-                        hook.on_append();
-                    }
-                    *slot = Some(trial);
-                }
-            });
-        }
-    });
-    let status = lock(&appender).status();
-    for (&index, trial) in pending.iter().zip(fresh) {
-        slots[index as usize] = trial;
-    }
-    let trials = slots.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    Ok((
-        RecoveryReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials },
-        status,
-    ))
 }
 
 #[cfg(test)]
@@ -1662,7 +1375,7 @@ mod tests {
         let full_len = bytes.len();
         // Tear the final record mid-frame.
         bytes.truncate(full_len - 5);
-        let scan = scan_bytes(&bytes, KIND_CAMPAIGN, &get_trial).expect("header intact");
+        let scan = scan_bytes::<CampaignConfig>(&bytes).expect("header intact");
         assert_eq!(scan.plan_hash, 0xDEAD_BEEF);
         assert_eq!(scan.done(), 3);
         assert_eq!(scan.pending(), 1);
@@ -1676,24 +1389,18 @@ mod tests {
         let header = Header { kind: KIND_CAMPAIGN, plan_hash: 1, trials: 2 };
         let good = header.encode();
 
-        assert_eq!(scan_bytes(&good[..3], KIND_CAMPAIGN, &get_trial), Err(JournalError::Truncated));
+        assert_eq!(scan_bytes::<CampaignConfig>(&good[..3]), Err(JournalError::Truncated));
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(scan_bytes(&bad, KIND_CAMPAIGN, &get_trial), Err(JournalError::BadMagic));
+        assert_eq!(scan_bytes::<CampaignConfig>(&bad), Err(JournalError::BadMagic));
         let mut bad = good.clone();
         bad[4] = 99;
-        assert_eq!(
-            scan_bytes(&bad, KIND_CAMPAIGN, &get_trial),
-            Err(JournalError::VersionUnsupported(99))
-        );
+        assert_eq!(scan_bytes::<CampaignConfig>(&bad), Err(JournalError::VersionUnsupported(99)));
         let mut bad = good.clone();
         bad[10] ^= 0x01; // plan hash byte: header CRC no longer matches
+        assert_eq!(scan_bytes::<CampaignConfig>(&bad), Err(JournalError::ChecksumMismatch));
         assert_eq!(
-            scan_bytes(&bad, KIND_CAMPAIGN, &get_trial),
-            Err(JournalError::ChecksumMismatch)
-        );
-        assert_eq!(
-            scan_bytes(&good, KIND_RECOVERY, &get_trial),
+            scan_bytes::<RecoveryPolicy>(&good),
             Err(JournalError::KindMismatch { expected: KIND_RECOVERY, found: KIND_CAMPAIGN })
         );
     }
@@ -1717,7 +1424,7 @@ mod tests {
         // are dropped (append-only means nothing after a bad frame can
         // be trusted to be framed correctly).
         bytes[record_starts[1] + 6] ^= 0x10;
-        let scan = scan_bytes(&bytes, KIND_CAMPAIGN, &get_trial).expect("header intact");
+        let scan = scan_bytes::<CampaignConfig>(&bytes).expect("header intact");
         assert_eq!(scan.done(), 1);
         assert_eq!(scan.good_bytes, record_starts[1] as u64);
         assert_eq!(scan.completed[0].as_ref(), Some(&trials[0]));

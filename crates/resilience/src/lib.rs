@@ -16,10 +16,14 @@
 //!   per fault, each classified masked / SDC / deadlock / fault, with
 //!   the co-simulator's liveness watchdog guaranteeing hung trials end
 //!   in a diagnosed [`softsim_cosim::CoSimStop::Deadlock`] rather than a
-//!   silent cycle-limit timeout. Trials are independent, so
-//!   [`campaign::run_campaign_parallel`] spreads them over worker
-//!   threads and merges in plan order — the report is byte-identical to
-//!   the serial runner's.
+//!   silent cycle-limit timeout.
+//! * **The campaign engine** ([`engine`]) — one way to run a campaign of
+//!   either kind ([`CampaignConfig`] or [`RecoveryPolicy`]), serial,
+//!   parallel, journaled or instrumented: [`run_campaign`] /
+//!   [`run_recovery_campaign`] on the caller's simulator, or a
+//!   [`CampaignRun`] value naming the worker count, the telemetry hub
+//!   and the journal. Trials are independent and merge in plan order,
+//!   so the report is byte-identical whatever the [`CampaignRun`].
 //! * **Localization** ([`localize`]) — instrumented golden/trial
 //!   re-runs diffed by `softsim-metrics`, upgrading an SDC verdict with
 //!   the first cycle window and the first architectural event (register
@@ -35,9 +39,9 @@
 //!   keyed by `(plan_hash, trial_index)`, so an interrupted campaign
 //!   resumes where it died and the merged report is byte-identical to
 //!   an uninterrupted run at any worker count. Together with trial
-//!   isolation (`catch_unwind` per trial) and per-trial cycle /
-//!   wall-clock budgets in [`campaign`], this is the fault-tolerant
-//!   execution layer long campaigns run on.
+//!   isolation (`catch_unwind` per trial, in [`engine`]) and per-trial
+//!   cycle / wall-clock budgets in [`campaign`], this is the
+//!   fault-tolerant execution layer long campaigns run on.
 //!
 //! Everything is seeded through [`softsim_testkit::Rng`]: the same seed
 //! and schedule reproduce the same report, bit for bit — the property CI
@@ -47,29 +51,24 @@
 
 pub mod campaign;
 pub mod durable;
+pub mod engine;
 pub mod inject;
 pub mod localize;
 pub mod recover;
 pub mod snapshot;
 
 pub use campaign::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_with_telemetry,
-    run_campaign_with_telemetry, CampaignConfig, CampaignReport, Coverage, Outcome, Trial,
+    run_campaign, CampaignConfig, CampaignGolden, CampaignReport, Coverage, Outcome, Trial,
 };
 pub use durable::{
-    abort_after_trials_from_env, resume_from_journal, resume_recovery_from_journal,
-    run_campaign_durable, run_campaign_durable_parallel,
-    run_campaign_durable_parallel_with_telemetry, run_campaign_durable_with_status,
-    run_recovery_campaign_durable, run_recovery_campaign_durable_parallel,
-    run_recovery_campaign_durable_parallel_with_telemetry,
-    run_recovery_campaign_durable_with_status, AppendFault, AppendFaultPlan, DurabilityStatus,
-    EnvConfigError, JournalError, JournalScan,
+    abort_after_trials_from_env, resume_from_journal, AppendFault, AppendFaultPlan,
+    DurabilityStatus, EnvConfigError, JournalError, JournalScan,
 };
+pub use engine::{CampaignRun, JournalOptions, TrialKind};
 pub use inject::{random_plan, random_plan_hardware, FaultKind, Injection, Injector};
 pub use localize::{capture_golden, localize_trial, DivergenceReport, GoldenRun, LocalizeConfig};
 pub use recover::{
-    run_recovery_campaign, run_recovery_campaign_parallel,
-    run_recovery_campaign_parallel_with_telemetry, run_recovery_campaign_with_telemetry,
-    RecoveryGolden, RecoveryOutcome, RecoveryPolicy, RecoveryReport, RecoveryTrial, Supervisor,
+    run_recovery_campaign, RecoveryGolden, RecoveryOutcome, RecoveryPolicy, RecoveryReport,
+    RecoveryTrial, Supervisor,
 };
 pub use snapshot::{crc32, from_bytes, to_bytes, SnapshotError};

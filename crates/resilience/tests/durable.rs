@@ -4,111 +4,42 @@
 //! and the `SSJL` journal scan) under truncation, bit flips, and
 //! arbitrary bytes.
 
-use softsim_blocks::library::{AddSub, AddSubOp, Constant, Delay, Register};
-use softsim_blocks::{FixFmt, Graph};
-use softsim_cosim::{CoSim, CoSimStop, FslFromHw, FslToHw, Peripheral};
-use softsim_isa::asm::assemble;
-use softsim_isa::reg::r;
+mod common;
+
+use common::{fsl_sim, mixed_plan, mixed_plan_with_panic, observe, quick_config};
+use softsim_cosim::CoSimStop;
 use softsim_resilience::{
-    from_bytes, resume_from_journal, run_campaign, run_campaign_durable,
-    run_campaign_durable_parallel, run_campaign_durable_with_status, to_bytes, AppendFault,
-    AppendFaultPlan, CampaignConfig, FaultKind, Injection, JournalError, Outcome,
+    from_bytes, resume_from_journal, run_campaign, to_bytes, AppendFault, AppendFaultPlan,
+    CampaignConfig, CampaignReport, CampaignRun, DurabilityStatus, FaultKind, Injection,
+    JournalError, JournalOptions, Outcome,
 };
 use softsim_testkit::Rng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// A peripheral that adds 100 to every word on FSL0, one cycle later.
-fn adder_peripheral() -> Peripheral {
-    let mut g = Graph::new();
-    let data = g.gateway_in("fsl0_data", FixFmt::INT32);
-    let valid = g.gateway_in("fsl0_valid", FixFmt::BOOL);
-    let hundred = g.add("hundred", Constant::int(100, FixFmt::INT32));
-    let add = g.add("add", AddSub::new(AddSubOp::Add, FixFmt::INT32));
-    let rdata = g.add("rdata", Register::zeroed(FixFmt::INT32));
-    let rvalid = g.add("rvalid", Delay::new(FixFmt::BOOL, 1));
-    g.connect(data, 0, add, 0).unwrap();
-    g.connect(hundred, 0, add, 1).unwrap();
-    g.connect(add, 0, rdata, 0).unwrap();
-    g.connect(valid, 0, rdata, 1).unwrap();
-    g.connect(valid, 0, rvalid, 0).unwrap();
-    g.gateway_out("fsl0_out_data", rdata, 0);
-    g.gateway_out("fsl0_out_valid", rvalid, 0);
-    g.compile().unwrap();
-    Peripheral::new(g, vec![FslToHw::standard(0).without_control()], vec![FslFromHw::standard(0)])
-}
-
-/// An FSL round-trip workload: send 4 words, read 4 results, sum them
-/// into `r6`. Blocks on `get`, so stuck-flag faults deadlock it and
-/// stall fast-forwarding has something to skip.
-fn fsl_sim() -> CoSim {
-    let image = assemble(
-        "addik r3, r0, 0\n\
-         addik r5, r0, 4\n\
-         send: put r3, rfsl0\n\
-         addik r3, r3, 1\n\
-         addik r5, r5, -1\n\
-         bnei r5, send\n\
-         addik r5, r0, 4\n\
-         addik r6, r0, 0\n\
-         recv: get r4, rfsl0\n\
-         addk r6, r6, r4\n\
-         addik r5, r5, -1\n\
-         bnei r5, recv\n\
-         halt\n",
-    )
-    .unwrap();
-    CoSim::with_peripheral(&image, adder_peripheral())
-}
-
-fn observe(sim: &CoSim) -> Vec<u32> {
-    vec![sim.cpu().reg(r(6))]
-}
-
-/// A short watchdog so deadlocked trials diagnose quickly.
-fn quick_config() -> CampaignConfig {
-    CampaignConfig { watchdog_threshold: 2_000, ..CampaignConfig::default() }
-}
-
-/// A small deterministic plan mixing benign flips with one guaranteed
-/// deadlock (stuck `exists` flag under a blocking `get` loop).
-fn mixed_plan() -> Vec<Injection> {
-    vec![
-        Injection { cycle: 3, kind: FaultKind::RegBitFlip { reg: 3, bit: 0 } },
-        Injection { cycle: 5, kind: FaultKind::MemBitFlip { addr: 0x40, bit: 7 } },
-        Injection { cycle: 8, kind: FaultKind::StuckEmpty { channel: 0 } },
-        Injection { cycle: 10, kind: FaultKind::RegBitFlip { reg: 6, bit: 2 } },
-        Injection {
-            cycle: 12,
-            kind: FaultKind::FifoDrop { dir: softsim_trace::FifoDir::ToHw, channel: 0 },
-        },
-        Injection { cycle: 14, kind: FaultKind::RegBitFlip { reg: 5, bit: 0 } },
-        Injection { cycle: 16, kind: FaultKind::MemBitFlip { addr: 0x80, bit: 0 } },
-        Injection { cycle: 18, kind: FaultKind::RegBitFlip { reg: 4, bit: 4 } },
-    ]
-}
-
 fn scratch(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("softsim_it_{}_{}.ssjl", tag, std::process::id()))
+    common::scratch("it", tag)
+}
+
+/// `plan` on `workers` threads, journaled to `path`.
+fn journaled(
+    plan: &[Injection],
+    path: &Path,
+    resume: bool,
+    workers: usize,
+    append_fault: Option<AppendFaultPlan>,
+) -> Result<(CampaignReport, DurabilityStatus), JournalError> {
+    let journal = Some(JournalOptions { path, resume, append_fault });
+    let run = CampaignRun { workers, telemetry: None, journal };
+    run.run(quick_config(), fsl_sim, plan, observe)
 }
 
 #[test]
 fn harness_panic_is_isolated_and_siblings_complete() {
-    let mut plan = mixed_plan();
-    plan.insert(2, Injection { cycle: 6, kind: FaultKind::HarnessPanic });
+    let plan = mixed_plan_with_panic();
     for workers in [1, 3] {
         let journal = scratch(&format!("isolation_{workers}"));
-        let _ = std::fs::remove_file(&journal);
-        let report = run_campaign_durable_parallel(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            false,
-            workers,
-        )
-        .expect("journal I/O");
+        let (report, _) = journaled(&plan, &journal, false, workers, None).expect("journal I/O");
         assert_eq!(report.trials.len(), plan.len(), "no trial dropped, workers={workers}");
         let cov = report.coverage();
         assert_eq!(cov.abandoned, 1, "exactly the deliberate panic is abandoned");
@@ -180,59 +111,6 @@ fn wall_budget_hit_while_fast_forwarding_classifies_budget_not_deadlock() {
 }
 
 #[test]
-fn interrupt_and_resume_is_byte_identical_at_any_worker_count() {
-    let plan = mixed_plan();
-    let journal = scratch("resume");
-    let _ = std::fs::remove_file(&journal);
-    let reference =
-        run_campaign_durable_parallel(fsl_sim, &plan, observe, quick_config(), &journal, false, 2)
-            .expect("journal I/O");
-    let full = std::fs::read(&journal).expect("journal readable");
-
-    // Every interesting interruption point: header only (crash before
-    // the first record), a few complete records, and a torn tail.
-    const HEADER_LEN: usize = 25;
-    let torn_cut = {
-        // Walk the frames to find the start of the 4th record, then keep
-        // 3 extra bytes of it as the torn tail.
-        let mut pos = HEADER_LEN;
-        for _ in 0..3 {
-            let len = u32::from_le_bytes([full[pos], full[pos + 1], full[pos + 2], full[pos + 3]])
-                as usize;
-            pos += 8 + len;
-        }
-        pos + 3
-    };
-    for cut in [HEADER_LEN, torn_cut, full.len()] {
-        for workers in [1, 2, 5] {
-            std::fs::write(&journal, &full[..cut]).expect("journal writable");
-            let resumed = run_campaign_durable_parallel(
-                fsl_sim,
-                &plan,
-                observe,
-                quick_config(),
-                &journal,
-                true,
-                workers,
-            )
-            .expect("journal I/O");
-            assert_eq!(
-                resumed, reference,
-                "resume from {cut} bytes at {workers} workers reproduces the report"
-            );
-        }
-    }
-
-    // Resuming a complete journal re-runs nothing and leaves it alone.
-    std::fs::write(&journal, &full).expect("journal writable");
-    let resumed = run_campaign_durable(fsl_sim, &plan, observe, quick_config(), &journal, true)
-        .expect("journal I/O");
-    assert_eq!(resumed, reference);
-    assert_eq!(std::fs::read(&journal).expect("journal readable"), full, "journal untouched");
-    let _ = std::fs::remove_file(&journal);
-}
-
-#[test]
 fn append_fault_degrades_to_non_durable_with_a_clean_tail() {
     let plan = mixed_plan();
     let mut sim = fsl_sim();
@@ -242,18 +120,9 @@ fn append_fault_degrades_to_non_durable_with_a_clean_tail() {
         let _ = std::fs::remove_file(&journal);
         // The 4th append fails: the run must finish with the same
         // report, flagged non-durable with a warning — never a panic.
-        let (report, status) = run_campaign_durable_with_status(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            false,
-            1,
-            None,
-            Some(AppendFaultPlan { kind: fault, after_appends: 3 }),
-        )
-        .expect("an append failure must not fail the campaign");
+        let fault_plan = AppendFaultPlan { kind: fault, after_appends: 3 };
+        let (report, status) = journaled(&plan, &journal, false, 1, Some(fault_plan))
+            .expect("an append failure must not fail the campaign");
         assert_eq!(report, reference, "report unaffected by {fault}");
         assert!(!status.durable, "{fault} must degrade the run");
         assert_eq!(status.appended, 3, "{fault}");
@@ -262,25 +131,15 @@ fn append_fault_degrades_to_non_durable_with_a_clean_tail() {
 
         // The journal tail is clean: exactly the three good records,
         // nothing torn (the partial frame of a short write is dropped).
-        let scan = resume_from_journal(&journal).expect("degraded journal still scans");
+        let scan =
+            resume_from_journal::<CampaignConfig>(&journal).expect("degraded journal still scans");
         assert_eq!(scan.records, 3, "{fault}");
         assert_eq!(scan.torn_bytes, 0, "no torn tail left behind by {fault}");
         assert_eq!(std::fs::metadata(&journal).expect("journal stat").len(), scan.good_bytes);
 
         // And it resumes: only the five missing trials re-run, to the
         // byte-identical report.
-        let (resumed, status) = run_campaign_durable_with_status(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            true,
-            2,
-            None,
-            None,
-        )
-        .expect("journal I/O");
+        let (resumed, status) = journaled(&plan, &journal, true, 2, None).expect("journal I/O");
         assert_eq!(resumed, reference, "resume after {fault} degrade");
         assert!(status.durable);
         assert_eq!(status.appended as usize, plan.len() - 3);
@@ -293,12 +152,11 @@ fn resume_with_a_different_plan_is_a_typed_error() {
     let journal = scratch("mismatch");
     let _ = std::fs::remove_file(&journal);
     let plan = mixed_plan();
-    run_campaign_durable(fsl_sim, &plan, observe, quick_config(), &journal, false)
-        .expect("journal I/O");
+    journaled(&plan, &journal, false, 1, None).expect("journal I/O");
     let mut other = plan.clone();
     other.push(Injection { cycle: 20, kind: FaultKind::RegBitFlip { reg: 7, bit: 1 } });
-    let err = run_campaign_durable(fsl_sim, &other, observe, quick_config(), &journal, true)
-        .expect_err("a different plan must be rejected");
+    let err =
+        journaled(&other, &journal, true, 1, None).expect_err("a different plan must be rejected");
     assert!(
         matches!(err, JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. }),
         "typed mismatch, got {err}"
@@ -310,8 +168,7 @@ fn resume_with_a_different_plan_is_a_typed_error() {
 fn valid_journal_bytes() -> Vec<u8> {
     let journal = scratch("fuzz_seed");
     let _ = std::fs::remove_file(&journal);
-    run_campaign_durable(fsl_sim, &mixed_plan(), observe, quick_config(), &journal, false)
-        .expect("journal I/O");
+    journaled(&mixed_plan(), &journal, false, 1, None).expect("journal I/O");
     let bytes = std::fs::read(&journal).expect("journal readable");
     let _ = std::fs::remove_file(&journal);
     bytes
@@ -329,7 +186,7 @@ fn journal_scan_never_panics_and_clamps_under_any_damage() {
         std::fs::write(&journal, &full[..cut]).expect("journal writable");
         // A typed error is fine (pre-header truncations); an Ok scan
         // must stay within bounds.
-        if let Ok(scan) = resume_from_journal(&journal) {
+        if let Ok(scan) = resume_from_journal::<CampaignConfig>(&journal) {
             assert_eq!(scan.completed.len(), header_trials);
             assert!(scan.good_bytes as usize <= cut);
             assert!(scan.done() <= header_trials);
@@ -345,7 +202,7 @@ fn journal_scan_never_panics_and_clamps_under_any_damage() {
             bytes[i] ^= 1 << rng.range_usize(0, 7);
         }
         std::fs::write(&journal, &bytes).expect("journal writable");
-        if let Ok(scan) = resume_from_journal(&journal) {
+        if let Ok(scan) = resume_from_journal::<CampaignConfig>(&journal) {
             assert!(scan.good_bytes as usize <= bytes.len());
         }
     }
@@ -359,7 +216,7 @@ fn journal_scan_never_panics_and_clamps_under_any_damage() {
             bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
         }
         std::fs::write(&journal, &bytes).expect("journal writable");
-        let _ = resume_from_journal(&journal);
+        let _ = resume_from_journal::<CampaignConfig>(&journal);
     }
 
     // Clamping guarantee: a CRC-valid header declaring an implausible
@@ -374,7 +231,7 @@ fn journal_scan_never_panics_and_clamps_under_any_damage() {
     let crc = softsim_resilience::crc32(&hostile);
     hostile.extend_from_slice(&crc.to_le_bytes());
     std::fs::write(&journal, &hostile).expect("journal writable");
-    match resume_from_journal(&journal) {
+    match resume_from_journal::<CampaignConfig>(&journal) {
         Err(JournalError::Corrupt(_)) => {}
         other => panic!("implausible trial count must be Corrupt, got {other:?}"),
     }

@@ -21,10 +21,8 @@ use crate::catalog::{self, JobKind, JobSpec, Workload};
 use crate::queue::{Admission, BoundedQueue, QueueConfig};
 use softsim_metrics::telemetry::{ServeEvent, SpanKind, SpanRecord, Telemetry};
 use softsim_resilience::{
-    resume_from_journal, resume_recovery_from_journal, run_campaign_durable_with_status,
-    run_campaign_parallel_with_telemetry, run_recovery_campaign_durable_with_status,
-    run_recovery_campaign_parallel_with_telemetry, CampaignConfig, CampaignReport, JournalError,
-    RecoveryReport,
+    resume_from_journal, CampaignConfig, CampaignReport, CampaignRun, Injection, JournalError,
+    JournalOptions, RecoveryReport, TrialKind,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -669,13 +667,6 @@ struct ExecOutput {
 /// builds and journal errors) unwind to the retry loop above.
 fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
     let workload = spec.workload;
-    let telemetry = Some(&*inner.telemetry);
-    let config = CampaignConfig {
-        trial_cycle_budget: spec.trial_cycle_budget,
-        trial_wall_budget: spec.trial_wall_budget_ms.map(Duration::from_millis),
-        fast_forward: true,
-        ..CampaignConfig::default()
-    };
     match spec.kind {
         JobKind::Simulate => {
             let (base, n) = catalog::observe_window(workload);
@@ -722,134 +713,74 @@ fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
         }
         JobKind::Campaign => {
             let plan = catalog::campaign_plan(workload, spec.seed, spec.trials);
-            let (base, n) = catalog::observe_window(workload);
-            let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-            let make_sim = || catalog::build_sim(workload, degraded);
-            if !spec.durable {
-                let report = run_campaign_parallel_with_telemetry(
-                    make_sim,
-                    &plan,
-                    observe,
-                    config,
-                    inner.config.campaign_workers.max(1),
-                    telemetry,
-                );
-                return ExecOutput {
-                    report: render_campaign(spec, &report),
-                    durable: false,
-                    executed_trials: spec.trials,
-                    resumed_trials: 0,
-                    warning: None,
-                };
-            }
-            let journal = journal_path(&inner.config.spool, spec);
-            let mut resumed = match resume_from_journal(&journal) {
-                Ok(scan) => scan.done() as u32,
-                Err(_) => {
-                    // Missing file is a fresh start; an unreadable
-                    // journal is discarded the same way.
-                    let _ = std::fs::remove_file(&journal);
-                    0
-                }
+            let config = CampaignConfig {
+                trial_cycle_budget: spec.trial_cycle_budget,
+                trial_wall_budget: spec.trial_wall_budget_ms.map(Duration::from_millis),
+                fast_forward: true,
+                ..CampaignConfig::default()
             };
-            let workers = inner.config.campaign_workers.max(1);
-            let mut outcome = run_campaign_durable_with_status(
-                make_sim,
-                &plan,
-                observe,
-                config,
-                &journal,
-                resumed > 0,
-                workers,
-                telemetry,
-                None,
-            );
-            if matches!(
-                outcome,
-                Err(JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. })
-            ) {
-                // A stale journal for a different plan (e.g. a hash
-                // collision in the spool) self-heals: discard and run
-                // fresh rather than quarantining the job.
-                let _ = std::fs::remove_file(&journal);
-                resumed = 0;
-                outcome = run_campaign_durable_with_status(
-                    make_sim, &plan, observe, config, &journal, false, workers, telemetry, None,
-                );
-            }
-            let (report, status) =
-                outcome.unwrap_or_else(|e| panic!("durable campaign failed: {e}"));
-            ExecOutput {
-                report: render_campaign(spec, &report),
-                durable: status.durable,
-                executed_trials: spec.trials.saturating_sub(resumed),
-                resumed_trials: resumed,
-                warning: status.warning,
-            }
+            execute_trials(inner, spec, degraded, config, &plan, render_campaign)
         }
         JobKind::Recovery => {
             let plan = catalog::recovery_plan(workload, spec.seed, spec.trials);
-            let (base, n) = catalog::observe_window(workload);
-            let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-            let make_sim = || catalog::build_sim(workload, degraded);
             let policy = catalog::recovery_policy();
-            if !spec.durable {
-                let report = run_recovery_campaign_parallel_with_telemetry(
-                    make_sim,
-                    &plan,
-                    observe,
-                    policy,
-                    inner.config.campaign_workers.max(1),
-                    telemetry,
-                );
-                return ExecOutput {
-                    report: render_recovery(spec, &report),
-                    durable: false,
-                    executed_trials: spec.trials,
-                    resumed_trials: 0,
-                    warning: None,
-                };
-            }
-            let journal = journal_path(&inner.config.spool, spec);
-            let mut resumed = match resume_recovery_from_journal(&journal) {
-                Ok(scan) => scan.done() as u32,
-                Err(_) => {
-                    let _ = std::fs::remove_file(&journal);
-                    0
-                }
-            };
-            let workers = inner.config.campaign_workers.max(1);
-            let mut outcome = run_recovery_campaign_durable_with_status(
-                make_sim,
-                &plan,
-                observe,
-                policy,
-                &journal,
-                resumed > 0,
-                workers,
-                telemetry,
-                None,
-            );
-            if matches!(
-                outcome,
-                Err(JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. })
-            ) {
-                let _ = std::fs::remove_file(&journal);
-                resumed = 0;
-                outcome = run_recovery_campaign_durable_with_status(
-                    make_sim, &plan, observe, policy, &journal, false, workers, telemetry, None,
-                );
-            }
-            let (report, status) =
-                outcome.unwrap_or_else(|e| panic!("durable recovery campaign failed: {e}"));
-            ExecOutput {
-                report: render_recovery(spec, &report),
-                durable: status.durable,
-                executed_trials: spec.trials.saturating_sub(resumed),
-                resumed_trials: resumed,
-                warning: status.warning,
+            execute_trials(inner, spec, degraded, policy, &plan, render_recovery)
+        }
+    }
+}
+
+/// A campaign or recovery job: one path over the trial kind, journaled
+/// to the spool when the spec asks for durability. A journal from an
+/// earlier attempt is resumed; an unreadable one is discarded, and one
+/// for a different plan (e.g. a hash collision in the spool) self-heals
+/// by running fresh rather than quarantining the job.
+fn execute_trials<K: TrialKind>(
+    inner: &Inner,
+    spec: &JobSpec,
+    degraded: bool,
+    kind: K,
+    plan: &[Injection],
+    render: fn(&JobSpec, &K::Report) -> String,
+) -> ExecOutput {
+    let (base, n) = catalog::observe_window(spec.workload);
+    let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
+    let make_sim = || catalog::build_sim(spec.workload, degraded);
+    let path = spec.durable.then(|| journal_path(&inner.config.spool, spec));
+    let mut resumed = 0;
+    if let Some(path) = &path {
+        match resume_from_journal::<K>(path) {
+            Ok(scan) => resumed = scan.done() as u32,
+            // Missing file is a fresh start; an unreadable journal is
+            // discarded the same way.
+            Err(_) => {
+                let _ = std::fs::remove_file(path);
             }
         }
+    }
+    let run = |resume: bool| {
+        let journal =
+            path.as_deref().map(|path| JournalOptions { path, resume, append_fault: None });
+        let workers = inner.config.campaign_workers.max(1);
+        let run = CampaignRun { workers, telemetry: Some(&*inner.telemetry), journal };
+        run.run(kind, make_sim, plan, observe)
+    };
+    let mut outcome = run(resumed > 0);
+    if let (
+        Some(path),
+        Err(JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. }),
+    ) = (&path, &outcome)
+    {
+        let _ = std::fs::remove_file(path);
+        resumed = 0;
+        outcome = run(false);
+    }
+    let (report, status) = outcome.unwrap_or_else(|e| panic!("durable campaign failed: {e}"));
+    ExecOutput {
+        report: render(spec, &report),
+        durable: status.durable,
+        executed_trials: spec.trials.saturating_sub(resumed),
+        resumed_trials: resumed,
+        warning: status.warning,
     }
 }
 

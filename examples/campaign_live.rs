@@ -14,9 +14,7 @@ use softsim::apps::cordic::software::{hw_program, CordicBatch};
 use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::metrics::telemetry::{Telemetry, TelemetryConfig};
-use softsim::resilience::{
-    random_plan, run_campaign_parallel, run_campaign_parallel_with_telemetry, CampaignConfig,
-};
+use softsim::resilience::{random_plan, CampaignConfig, CampaignRun};
 use std::time::Duration;
 
 fn main() {
@@ -64,14 +62,9 @@ fn main() {
         "CORDIC fault campaign: {trials} trials, {workers} workers, seed {seed:#x} \
          (golden run {golden} cycles)\n"
     );
-    let report = run_campaign_parallel_with_telemetry(
-        make_sim,
-        &plan,
-        observe,
-        CampaignConfig::default(),
-        workers,
-        Some(&telemetry),
-    );
+    let run = CampaignRun { workers, telemetry: Some(&telemetry), journal: None };
+    let (report, _) =
+        run.run(CampaignConfig::default(), make_sim, &plan, observe).expect("no journal, no I/O");
     telemetry.finish();
 
     let (masked, sdc, deadlock, fault) = report.counts();
@@ -95,11 +88,9 @@ fn main() {
 
     // The proof the instrumentation is inert: the identical campaign
     // without telemetry produces the identical report, byte for byte.
-    let make_sim = || CoSim::with_peripheral(&image, cordic_peripheral(p));
-    let observe = move |s: &CoSim| {
-        (0..n).map(|i| s.cpu().mem().read_u32(base + 4 * i as u32).unwrap()).collect()
-    };
-    let plain = run_campaign_parallel(make_sim, &plan, observe, CampaignConfig::default(), workers);
+    let run = CampaignRun { workers, ..CampaignRun::default() };
+    let (plain, _) =
+        run.run(CampaignConfig::default(), make_sim, &plan, observe).expect("no journal, no I/O");
     assert_eq!(report, plain, "telemetry must not perturb the report");
     println!("\nverified: report is byte-identical to an uninstrumented run");
 }

@@ -10,8 +10,8 @@ use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::isa::Image;
 use softsim::resilience::{
-    random_plan_hardware, run_campaign, run_recovery_campaign, run_recovery_campaign_parallel,
-    CampaignConfig, FaultKind, Injection, Outcome, RecoveryOutcome, RecoveryPolicy, Supervisor,
+    random_plan_hardware, run_campaign, run_recovery_campaign, CampaignConfig, CampaignRun,
+    FaultKind, Injection, Outcome, RecoveryOutcome, RecoveryPolicy, Supervisor,
 };
 use softsim::trace::{shared, DetectorKind, FifoDir, Profile, Recorder, TraceEvent};
 use std::cell::RefCell;
@@ -254,13 +254,10 @@ fn recovery_campaign_serial_equals_parallel() {
     let mut sim = cordic_sim(&img);
     let serial = run_recovery_campaign(&mut sim, &plan, |s| observe(s, &img), policy);
     for workers in [1usize, 3, 8] {
-        let parallel = run_recovery_campaign_parallel(
-            || cordic_sim(&img),
-            &plan,
-            |s| observe(s, &img),
-            policy,
-            workers,
-        );
+        let run = CampaignRun { workers, ..CampaignRun::default() };
+        let (parallel, _) = run
+            .run(policy, || cordic_sim(&img), &plan, |s| observe(s, &img))
+            .expect("an unjournaled campaign does no I/O");
         assert_eq!(serial, parallel, "parallel report diverged at {workers} workers");
     }
     let (clean, recovered, unrecoverable) = serial.counts();
