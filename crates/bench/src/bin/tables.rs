@@ -15,6 +15,12 @@
 //! Run in release mode — the Table I / Table II rows, `--bench-json`
 //! and `--speedup-json` measure wall-clock simulation speed.
 //!
+//! The seven BENCH record flags share one table ([`RECORDS`]: flag,
+//! default path, generator). Each generator builds a
+//! `softsim_bench::record::Record` — header, fields, and the headline
+//! `series` the record declares with its trajectory gate — and the
+//! binary only writes it.
+//!
 //! * `--bench-json` writes the machine-readable benchmark record
 //!   (`BENCH_0003.json` by default) — wall times, cycles/sec and
 //!   co-sim-vs-RTL speedups.
@@ -60,15 +66,17 @@
 //!   (`BENCH_0010.json` by default) — jobs/sec, cache hit rate and shed
 //!   rate under a synthetic overload burst, with cached-report
 //!   byte-identity asserted before any number is written.
-//! * `--trajectory [PATH]` aggregates the BENCH_0003–0010 records in
-//!   the current directory into the committed trajectory record
-//!   (`BENCH_TRAJECTORY.json` by default).
-//! * `--trajectory-gate [COMMITTED]` re-extracts the same series and
+//! * `--trajectory [PATH]` collects the `series` declared by the
+//!   BENCH_0003–0010 records in the current directory into the
+//!   committed trajectory record (`BENCH_TRAJECTORY.json` by default).
+//! * `--trajectory-gate [COMMITTED]` re-collects the same series and
 //!   fails (exit 1) if any floor/ceiling-gated series regresses past
-//!   its factor vs the committed record.
+//!   its factor vs the committed record, or if a committed entry is
+//!   malformed (an unknown gate kind or a missing factor).
 
 use softsim_bench::durable::journaled;
-use softsim_bench::tables;
+use softsim_bench::record::Record;
+use softsim_bench::{durable, hotspots, recover, serve, speedup, tables, translate};
 use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use std::time::Duration;
 
@@ -78,6 +86,20 @@ const USAGE: &str = "usage: tables [--fig5] [--fig7] [--table1] [--table2] [--cl
 [--durable-json [PATH]] [--journal [PATH] [--resume]] [--telemetry [SNAPSHOT]] \
 [--translate-json [PATH]] [--serve-json [PATH]] [--record [PATH]] [--trajectory [PATH]] \
 [--trajectory-gate [COMMITTED]]";
+
+/// Builds one BENCH record.
+type Generator = fn() -> Record;
+
+/// The BENCH records: writing flag, default path, generator.
+const RECORDS: [(&str, &str, Generator); 7] = [
+    ("--bench-json", "BENCH_0003.json", || tables::bench_json(3)),
+    ("--speedup-json", "BENCH_0004.json", speedup::speedup_json),
+    ("--recovery", "BENCH_0005.json", recover::recovery_json),
+    ("--hotspots", "BENCH_0006.json", hotspots::hotspots_json),
+    ("--durable-json", "BENCH_0007.json", durable::durable_json),
+    ("--translate-json", "BENCH_0009.json", translate::translate_json),
+    ("--serve-json", "BENCH_0010.json", serve::serve_json),
+];
 
 /// Flags that stand alone.
 const FLAGS: [&str; 11] = [
@@ -95,22 +117,9 @@ const FLAGS: [&str; 11] = [
 ];
 
 /// Flags that take an optional operand (the next argument, unless it is
-/// itself a flag).
-const OPERAND_FLAGS: [&str; 13] = [
-    "--csv",
-    "--bench-json",
-    "--speedup-json",
-    "--recovery",
-    "--hotspots",
-    "--durable-json",
-    "--journal",
-    "--telemetry",
-    "--translate-json",
-    "--serve-json",
-    "--record",
-    "--trajectory",
-    "--trajectory-gate",
-];
+/// itself a flag), besides the [`RECORDS`] flags.
+const OPERAND_FLAGS: [&str; 6] =
+    ["--csv", "--journal", "--telemetry", "--record", "--trajectory", "--trajectory-gate"];
 
 /// Exits with status 2 and the usage line unless every argument is a
 /// known flag or the operand of one, and `--resume` comes with
@@ -118,7 +127,7 @@ const OPERAND_FLAGS: [&str; 13] = [
 fn check_args(args: &[String]) {
     let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
-        if OPERAND_FLAGS.contains(&arg.as_str()) {
+        if OPERAND_FLAGS.contains(&arg.as_str()) || RECORDS.iter().any(|(flag, ..)| flag == arg) {
             rest.next_if(|next| !next.starts_with("--"));
         } else if !FLAGS.contains(&arg.as_str()) {
             usage_error(&format!("unknown argument `{arg}`"));
@@ -211,10 +220,7 @@ fn main() {
                     telemetry.as_ref(),
                 ))
             ),
-            None => println!(
-                "{}",
-                softsim_bench::faults::faults_text_with_telemetry(telemetry.as_ref())
-            ),
+            None => println!("{}", softsim_bench::faults::faults_text(telemetry.as_ref())),
         }
     }
     if want("--metrics") {
@@ -230,54 +236,26 @@ fn main() {
         tables::write_csvs(std::path::Path::new(&dir)).expect("write CSVs");
         println!("wrote {dir}/fig5_cordic.csv and {dir}/fig7_matmul.csv");
     }
-    if let Some(path) = operand("--bench-json", "BENCH_0003.json") {
-        tables::write_bench_json(std::path::Path::new(&path), 3).expect("write bench JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--speedup-json", "BENCH_0004.json") {
-        softsim_bench::speedup::write_speedup_json(std::path::Path::new(&path))
-            .expect("write speedup JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--recovery", "BENCH_0005.json") {
-        match &journal {
-            Some(j) => {
-                let jpath = format!("{j}.recovery");
-                println!(
-                    "{}",
-                    softsim_bench::durable::durable_recovery_text(&journaled(
-                        std::path::Path::new(&jpath),
-                        resume,
-                        workers,
-                        telemetry.as_ref(),
-                    ))
-                );
-            }
-            None => {
-                softsim_bench::recover::write_recovery_json(std::path::Path::new(&path))
-                    .expect("write recovery JSON");
-                println!("wrote {path}");
-            }
+    for (flag, default, generate) in RECORDS {
+        let Some(path) = operand(flag, default) else { continue };
+        if let (Some(j), "--recovery") = (&journal, flag) {
+            // Journaled, `--recovery` runs the crash-resumable supervised
+            // campaign instead of writing the record.
+            let jpath = format!("{j}.recovery");
+            println!(
+                "{}",
+                durable::durable_recovery_text(&journaled(
+                    std::path::Path::new(&jpath),
+                    resume,
+                    workers,
+                    telemetry.as_ref(),
+                ))
+            );
+            continue;
         }
-    }
-    if let Some(path) = operand("--hotspots", "BENCH_0006.json") {
-        softsim_bench::hotspots::write_hotspots_json(std::path::Path::new(&path))
-            .expect("write hotspots JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--durable-json", "BENCH_0007.json") {
-        softsim_bench::durable::write_durable_json(std::path::Path::new(&path))
-            .expect("write durable JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--translate-json", "BENCH_0009.json") {
-        softsim_bench::translate::write_translate_json(std::path::Path::new(&path))
-            .expect("write translate JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--serve-json", "BENCH_0010.json") {
-        softsim_bench::serve::write_serve_json(std::path::Path::new(&path))
-            .expect("write serve JSON");
+        generate()
+            .write(std::path::Path::new(&path))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
     }
     if let Some(path) = operand("--record", "tables_output.txt") {
@@ -301,7 +279,7 @@ fn main() {
         ) {
             Ok(report) => print!("{report}"),
             Err(report) => {
-                eprint!("{report}");
+                eprintln!("{}", report.trim_end());
                 std::process::exit(1);
             }
         }

@@ -14,6 +14,7 @@
 use crate::faults::{
     cordic_plan, default_workers, run_cordic, CORDIC_ITERS, CORDIC_P, REPORT_SEED,
 };
+use crate::record::{obj, Gate, Record};
 use crate::recover::cordic_recovery_run;
 use softsim_metrics::telemetry::Telemetry;
 use softsim_resilience::{
@@ -243,56 +244,51 @@ pub fn durable_text() -> String {
     s
 }
 
-/// The machine-readable `BENCH_0007` record as a JSON string. Every
-/// number is cycle-exact and machine-independent — the record is
+/// The machine-readable `BENCH_0007` record. Every number is
+/// cycle-exact and machine-independent — the record is
 /// byte-reproducible at any worker count.
 ///
 /// # Panics
 /// Panics if any resumed or re-run report differs from the reference.
-pub fn durable_json() -> String {
+pub fn durable_json() -> Record {
     let run = run_durable();
     let (m, sdc, d, f) = run.report.counts();
     let cov = run.report.coverage();
     let demo_cov = run.demo.coverage();
     let (clean, rec, unrec) = run.recovery.counts();
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0007\",\
-         \"description\":\"durable journaled campaign execution: interrupt-and-resume determinism\",\
-         \"seed\":{REPORT_SEED},\"trials\":{DURABLE_TRIALS},\
-         \"campaign\":{{\"masked\":{m},\"sdc\":{sdc},\"deadlock\":{d},\"fault\":{f},\
-         \"coverage\":{{\"completed\":{},\"budget\":{},\"abandoned\":{},\"retried\":{}}},\
-         \"journal_records\":{},\"journal_bytes\":{},\"plan_hash\":\"{:#018x}\"}},\
-         \"resume\":{{\"interrupted_at_records\":{},\"torn_bytes\":{},\
-         \"report_identical\":{}}},\
-         \"workers_invariant\":{},\
-         \"isolation\":{{\"trials\":{},\"budget_cancelled\":{},\"harness_abandoned\":{},\
-         \"completed\":{}}},\
-         \"recovery\":{{\"trials\":{DURABLE_RECOVERY_TRIALS},\"clean\":{clean},\
-         \"recovered\":{rec},\"unrecoverable\":{unrec},\"journal_records\":{},\
-         \"resumed_identical\":{}}}}}\n",
-        cov.completed,
-        cov.budget,
-        cov.abandoned,
-        cov.retried,
-        run.records,
-        run.journal_bytes,
-        run.plan_hash,
-        run.resumed_records,
-        run.torn_bytes,
-        run.resumed_identical,
-        run.workers_invariant,
-        run.demo.trials.len(),
-        demo_cov.budget,
-        demo_cov.abandoned,
-        demo_cov.completed,
-        run.recovery_records,
-        run.recovery_resumed_identical,
+    let fields = obj! {
+        "seed" => REPORT_SEED, "trials" => DURABLE_TRIALS,
+        "campaign" => obj! {
+            "masked" => m, "sdc" => sdc, "deadlock" => d, "fault" => f,
+            "coverage" => obj! {
+                "completed" => cov.completed, "budget" => cov.budget,
+                "abandoned" => cov.abandoned, "retried" => cov.retried,
+            },
+            "journal_records" => run.records, "journal_bytes" => run.journal_bytes,
+            "plan_hash" => format!("{:#018x}", run.plan_hash),
+        },
+        "resume" => obj! {
+            "interrupted_at_records" => run.resumed_records, "torn_bytes" => run.torn_bytes,
+            "report_identical" => run.resumed_identical,
+        },
+        "workers_invariant" => run.workers_invariant,
+        "isolation" => obj! {
+            "trials" => run.demo.trials.len(), "budget_cancelled" => demo_cov.budget,
+            "harness_abandoned" => demo_cov.abandoned, "completed" => demo_cov.completed,
+        },
+        "recovery" => obj! {
+            "trials" => DURABLE_RECOVERY_TRIALS, "clean" => clean, "recovered" => rec,
+            "unrecoverable" => unrec, "journal_records" => run.recovery_records,
+            "resumed_identical" => run.recovery_resumed_identical,
+        },
+    };
+    let description = "durable journaled campaign execution: interrupt-and-resume determinism";
+    let bytes_per_trial = run.journal_bytes as f64 / DURABLE_TRIALS as f64;
+    Record::new("BENCH_0007", description, fields).series(
+        "durable_journal_bytes_per_trial",
+        bytes_per_trial,
+        Gate::Ceiling(1.25),
     )
-}
-
-/// Writes [`durable_json`] to `path`.
-pub fn write_durable_json(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, durable_json())
 }
 
 /// What a resumed journal already held: `(trials on file, torn bytes)`,
@@ -372,8 +368,7 @@ mod tests {
     #[test]
     fn durable_json_is_well_formed_and_identical_flags_hold() {
         use softsim_trace::json::Value;
-        let doc = softsim_trace::json::parse(&durable_json()).expect("valid json");
-        assert_eq!(doc.get("bench_id").unwrap().as_str().unwrap(), "BENCH_0007");
+        let doc = durable_json().doc();
         let resume = doc.get("resume").unwrap();
         assert_eq!(resume.get("report_identical").unwrap(), &Value::Bool(true));
         assert_eq!(doc.get("workers_invariant").unwrap(), &Value::Bool(true));

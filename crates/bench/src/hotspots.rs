@@ -10,8 +10,8 @@
 //! swept with [`crate::sweep::parallel_map`], which merges in input
 //! order).
 
+use crate::record::{obj, Gate, Obj, Record};
 use crate::sweep::{default_workers, parallel_map};
-use crate::tables::json_f64;
 use crate::workloads;
 use softsim_cosim::{CoSim, CoSimStop, PAPER_CLOCK_HZ};
 use softsim_profile::{advise, GuestReport, OffloadCandidate};
@@ -185,63 +185,47 @@ pub fn hotspots_text() -> String {
     out
 }
 
-fn block_json(b: &HotBlock) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"region\":\"{}\",\"start\":{},\"end\":{},\
-         \"cycles\":{},\"visits\":{},\"fsl_stalls\":{}}}",
-        b.name, b.region, b.start, b.end, b.cycles, b.visits, b.fsl_stalls
+/// The machine-readable `BENCH_0006` record. Every number is
+/// cycle-exact and machine-independent, so — like `BENCH_0005` — the
+/// committed file is byte-reproducible; CI re-derives it across
+/// `SOFTSIM_SWEEP_WORKERS` values and byte-diffs.
+pub fn hotspots_json() -> Record {
+    let rows = hotspot_rows();
+    let block = |b: &HotBlock| {
+        obj! {
+            "name" => &b.name, "region" => &b.region, "start" => b.start, "end" => b.end,
+            "cycles" => b.cycles, "visits" => b.visits, "fsl_stalls" => b.fsl_stalls,
+        }
+    };
+    let advice = |c: &OffloadCandidate| {
+        obj! {
+            "region" => &c.region, "start" => c.start, "cycles" => c.cycles, "visits" => c.visits,
+            "comm_words" => c.comm_words, "est_comm_cycles" => c.est_comm_cycles,
+            "score" => c.score, "software_nj" => c.software_nj,
+            "est_extra_slices" => c.est_extra_slices,
+        }
+    };
+    let workloads: Vec<Obj> = rows
+        .iter()
+        .map(|row| {
+            obj! {
+                "name" => row.name, "cycles" => row.cycles, "instructions" => row.instructions,
+                "blocks" => row.blocks,
+                "hot_blocks" => row.hot.iter().map(block).collect::<Vec<_>>(),
+                "advice" => row.advice.iter().map(advice).collect::<Vec<_>>(),
+            }
+        })
+        .collect();
+    let total_cycles: f64 = rows.iter().map(|row| row.cycles as f64).sum();
+    let fields = obj! {
+        "clock_hz" => PAPER_CLOCK_HZ, "hot_blocks_per_workload" => HOT_BLOCKS_PER_WORKLOAD,
+        "workloads" => workloads,
+    };
+    Record::new("BENCH_0006", "guest-program hotspot profiles and partition advice", fields).series(
+        "hotspot_total_cycles",
+        total_cycles,
+        Gate::Info,
     )
-}
-
-fn advice_json(c: &OffloadCandidate) -> String {
-    format!(
-        "{{\"region\":\"{}\",\"start\":{},\"cycles\":{},\"visits\":{},\
-         \"comm_words\":{},\"est_comm_cycles\":{},\"score\":{},\
-         \"software_nj\":{},\"est_extra_slices\":{}}}",
-        c.region,
-        c.start,
-        c.cycles,
-        c.visits,
-        c.comm_words,
-        c.est_comm_cycles,
-        c.score,
-        json_f64(c.software_nj),
-        c.est_extra_slices
-    )
-}
-
-fn row_json(row: &HotspotRow) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cycles\":{},\"instructions\":{},\"blocks\":{},\
-         \"hot_blocks\":[{}],\"advice\":[{}]}}",
-        row.name,
-        row.cycles,
-        row.instructions,
-        row.blocks,
-        row.hot.iter().map(block_json).collect::<Vec<_>>().join(","),
-        row.advice.iter().map(advice_json).collect::<Vec<_>>().join(","),
-    )
-}
-
-/// The machine-readable `BENCH_0006` record as a JSON string. Every
-/// number is cycle-exact and machine-independent, so — like
-/// `BENCH_0005` — the committed file is byte-reproducible; CI re-derives
-/// it across `SOFTSIM_SWEEP_WORKERS` values and byte-diffs.
-pub fn hotspots_json() -> String {
-    let rows: Vec<String> = hotspot_rows().iter().map(row_json).collect();
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0006\",\
-         \"description\":\"guest-program hotspot profiles and partition advice\",\
-         \"clock_hz\":{},\"hot_blocks_per_workload\":{HOT_BLOCKS_PER_WORKLOAD},\
-         \"workloads\":[{}]}}\n",
-        json_f64(PAPER_CLOCK_HZ),
-        rows.join(","),
-    )
-}
-
-/// Writes [`hotspots_json`] to `path`.
-pub fn write_hotspots_json(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, hotspots_json())
 }
 
 #[cfg(test)]
@@ -283,23 +267,17 @@ mod tests {
 
     #[test]
     fn hotspots_json_is_well_formed_with_required_keys() {
-        let text = hotspots_json();
-        let doc = softsim_trace::json::parse(&text).expect("BENCH_0006 must be valid JSON");
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("softsim-bench/1"));
-        assert_eq!(doc.get("bench_id").unwrap().as_str(), Some("BENCH_0006"));
+        let doc = hotspots_json().doc();
         let workloads = doc.get("workloads").unwrap().as_array().unwrap();
         assert_eq!(workloads.len(), 4, "two CORDIC + two matmul configurations");
         for w in workloads {
-            assert!(w.get("name").unwrap().as_str().is_some());
             assert!(w.get("cycles").unwrap().as_f64().unwrap() > 0.0);
             let hot = w.get("hot_blocks").unwrap().as_array().unwrap();
             assert!(!hot.is_empty() && hot.len() <= HOT_BLOCKS_PER_WORKLOAD);
             for b in hot {
-                assert!(b.get("region").unwrap().as_str().is_some());
                 assert!(b.get("cycles").unwrap().as_f64().unwrap() > 0.0);
             }
             for c in w.get("advice").unwrap().as_array().unwrap() {
-                assert!(c.get("score").unwrap().as_f64().is_some());
                 assert!(c.get("software_nj").unwrap().as_f64().unwrap() >= 0.0);
             }
         }

@@ -10,6 +10,10 @@
 //! * `cargo bench` runs the wall-clock benchmarks (built on the
 //!   dependency-free [`harness`]), one per table/figure, plus the
 //!   tracing-overhead guard.
+//!
+//! The machine-readable `BENCH_00xx.json` records are all built as a
+//! [`record::Record`], which also carries the headline series each
+//! record declares for the perf [`trajectory`] and its gate.
 
 #![warn(missing_docs)]
 
@@ -18,6 +22,7 @@ pub mod faults;
 pub mod harness;
 pub mod hotspots;
 pub mod measure;
+pub mod record;
 pub mod recover;
 pub mod serve;
 pub mod speedup;

@@ -24,7 +24,7 @@ use crate::faults::{
     cordic_observe, default_workers, golden_cycles, observe_words, CORDIC_ITERS, CORDIC_P,
     MATMUL_N, MATMUL_NB, REPORT_SEED,
 };
-use crate::tables::json_f64;
+use crate::record::{obj, Gate, Obj, Record};
 use softsim_cosim::CoSim;
 use softsim_resilience::{
     random_plan_hardware, run_campaign, run_recovery_campaign, CampaignConfig, CampaignReport,
@@ -227,6 +227,22 @@ fn rows_text(rows: &[RecoveryRow]) -> String {
     s
 }
 
+/// The full hardening matrix, CORDIC rows then matmul rows, with the
+/// fully-hardened CORDIC row re-run on the parallel engine.
+///
+/// # Panics
+/// Panics if the serial and parallel supervised runs disagree anywhere.
+fn checked_matrix() -> Vec<RecoveryRow> {
+    let mut rows = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
+    let par = cordic_recovery_parallel(REPORT_SEED, RECOVERY_TRIALS, default_workers());
+    assert_eq!(
+        rows[3].supervised, par,
+        "serial and parallel recovery campaigns must agree bit for bit"
+    );
+    rows.extend(matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS));
+    rows
+}
+
 /// The `--recovery` report: the full hardening matrix for both
 /// workloads, with the fully-hardened CORDIC row re-run on the parallel
 /// engine to prove the supervised campaign is schedule-independent.
@@ -235,14 +251,6 @@ fn rows_text(rows: &[RecoveryRow]) -> String {
 /// Panics if the serial and parallel supervised runs disagree anywhere.
 pub fn recovery_text() -> String {
     use std::fmt::Write;
-    let cordic = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let matmul = matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let par = cordic_recovery_parallel(REPORT_SEED, RECOVERY_TRIALS, default_workers());
-    assert_eq!(
-        cordic[3].supervised, par,
-        "serial and parallel recovery campaigns must agree bit for bit"
-    );
-
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -264,73 +272,61 @@ pub fn recovery_text() -> String {
         "           converted/damaging = rate | mean detection latency | \
          mean replayed cycles | work overhead"
     );
-    s.push_str(&rows_text(&cordic));
-    s.push_str(&rows_text(&matmul));
+    s.push_str(&rows_text(&checked_matrix()));
     s.push_str("  determinism: serial and parallel supervised sweeps agreed on every trial\n");
     s
 }
 
-/// One matrix row as a `BENCH_0005` JSON object.
-fn row_json(row: &RecoveryRow) -> String {
-    let (m, sdc, d, f) = row.baseline.counts();
-    let (clean, rec, unrec) = row.supervised.counts();
-    let (lat, rep) = row.supervised.recovery_means();
-    format!(
-        "{{\"workload\":\"{}\",\"hardening\":\"{}\",\"ecc\":{},\"tmr\":{},\
-         \"trials\":{},\"golden_cycles\":{},\
-         \"baseline\":{{\"masked\":{m},\"sdc\":{sdc},\"deadlock\":{d},\"fault\":{f}}},\
-         \"supervised\":{{\"clean\":{clean},\"recovered\":{rec},\"unrecoverable\":{unrec}}},\
-         \"damaging\":{},\"converted\":{},\"recovery_rate\":{},\
-         \"mean_detection_latency\":{},\"mean_replayed_cycles\":{},\"work_overhead\":{}}}",
-        row.workload,
-        row.hardening.name,
-        row.hardening.ecc,
-        row.hardening.tmr,
-        row.supervised.trials.len(),
-        row.supervised.golden_cycles,
-        row.damaging(),
-        row.converted(),
-        json_f64(row.recovery_rate()),
-        json_f64(lat),
-        json_f64(rep),
-        json_f64(row.work_overhead()),
-    )
-}
-
-/// The machine-readable `BENCH_0005` record as a JSON string: the full
-/// hardening matrix, with the serial-vs-parallel equivalence asserted
-/// before anything is emitted. Unlike `BENCH_0003`/`BENCH_0004` every
-/// number here is cycle-exact and machine-independent — the record is
+/// The machine-readable `BENCH_0005` record: the full hardening matrix,
+/// with the serial-vs-parallel equivalence asserted before anything is
+/// emitted. Unlike `BENCH_0003`/`BENCH_0004` every number here is
+/// cycle-exact and machine-independent — the record is
 /// byte-reproducible.
 ///
 /// # Panics
 /// Panics if the serial and parallel supervised CORDIC runs disagree.
-pub fn recovery_json() -> String {
-    let workers = default_workers();
-    let cordic = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let matmul = matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let par = cordic_recovery_parallel(REPORT_SEED, RECOVERY_TRIALS, workers);
-    assert_eq!(
-        cordic[3].supervised, par,
-        "serial and parallel recovery campaigns must agree bit for bit"
-    );
-    let rows: Vec<String> = cordic.iter().chain(&matmul).map(row_json).collect();
+pub fn recovery_json() -> Record {
+    let matrix = checked_matrix();
+    let rows: Vec<Obj> = matrix
+        .iter()
+        .map(|row| {
+            let (m, sdc, d, f) = row.baseline.counts();
+            let (clean, rec, unrec) = row.supervised.counts();
+            let (lat, rep) = row.supervised.recovery_means();
+            let Hardening { name, ecc, tmr } = row.hardening;
+            obj! {
+                "workload" => row.workload, "hardening" => name, "ecc" => ecc, "tmr" => tmr,
+                "trials" => row.supervised.trials.len(),
+                "golden_cycles" => row.supervised.golden_cycles,
+                "baseline" => obj! { "masked" => m, "sdc" => sdc, "deadlock" => d, "fault" => f },
+                "supervised" => obj! {
+                    "clean" => clean, "recovered" => rec, "unrecoverable" => unrec,
+                },
+                "damaging" => row.damaging(), "converted" => row.converted(),
+                "recovery_rate" => row.recovery_rate(),
+                "mean_detection_latency" => lat, "mean_replayed_cycles" => rep,
+                "work_overhead" => row.work_overhead(),
+            }
+        })
+        .collect();
+    let full_hardening_rate = matrix
+        .iter()
+        .filter(|row| row.hardening == HARDENINGS[3])
+        .map(RecoveryRow::recovery_rate)
+        .fold(f64::INFINITY, f64::min);
     // No worker count in the record: the report is independent of the
     // thread pool, and CI proves it by byte-diffing this file across
     // SOFTSIM_SWEEP_WORKERS values.
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0005\",\
-         \"description\":\"rollback-recovery supervisor across FSL-ECC/TMR hardening variants\",\
-         \"seed\":{REPORT_SEED},\"trials_per_row\":{RECOVERY_TRIALS},\
-         \"reports_identical\":true,\
-         \"rows\":[{}]}}\n",
-        rows.join(","),
+    let fields = obj! {
+        "seed" => REPORT_SEED, "trials_per_row" => RECOVERY_TRIALS,
+        "reports_identical" => true, "rows" => rows,
+    };
+    let description = "rollback-recovery supervisor across FSL-ECC/TMR hardening variants";
+    Record::new("BENCH_0005", description, fields).series(
+        "recovery_rate_full_hardening",
+        full_hardening_rate,
+        Gate::Floor(0.8),
     )
-}
-
-/// Writes [`recovery_json`] to `path`.
-pub fn write_recovery_json(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, recovery_json())
 }
 
 #[cfg(test)]
@@ -384,18 +380,5 @@ mod tests {
         let b = matmul_recovery_rows(17, 6);
         assert_eq!(a, b);
         assert_eq!(a.len(), HARDENINGS.len());
-    }
-
-    #[test]
-    fn row_json_is_well_formed() {
-        let rows = cordic_recovery_rows(29, 4);
-        let doc = softsim_trace::json::parse(&row_json(&rows[0])).expect("valid json");
-        assert_eq!(doc.get("workload").unwrap().as_str().unwrap(), "cordic");
-        assert_eq!(doc.get("hardening").unwrap().as_str().unwrap(), "unhardened");
-        let rate = doc.get("recovery_rate").unwrap().as_f64().unwrap();
-        assert!((0.0..=1.0).contains(&rate));
-        for key in ["baseline", "supervised"] {
-            assert!(doc.get(key).is_some(), "{key} section present");
-        }
     }
 }

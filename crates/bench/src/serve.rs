@@ -12,11 +12,10 @@
 //! counts, hit rate and shed rate are machine-independent; the
 //! trajectory record floors jobs/sec and the cache hit rate.
 
-use crate::tables::json_f64;
+use crate::record::{obj, Gate, Record};
 use softsim_serve::{
     CacheStatus, JobKind, JobSpec, JobState, QueueConfig, ServeConfig, Server, Workload,
 };
-use std::path::Path;
 use std::time::Instant;
 
 /// Jobs in the synthetic overload burst.
@@ -134,30 +133,22 @@ pub fn serve_run() -> ServeRun {
     }
 }
 
-/// The machine-readable `BENCH_0010` record as a JSON string.
-pub fn serve_json() -> String {
+/// The machine-readable `BENCH_0010` record.
+pub fn serve_json() -> Record {
     let run = serve_run();
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0010\",\
-         \"description\":\"simulation service under a synthetic overload burst: admission, \
-         shedding, watermark degradation, memoization\",\
-         \"burst_jobs\":{},\"queue_capacity\":{BURST_CAPACITY},\
-         \"degrade_watermark\":{BURST_WATERMARK},\"trials_per_job\":{BURST_TRIALS},\
-         \"admitted\":{},\"shed\":{},\"degraded\":{},\
-         \"jobs_per_sec\":{},\"cache_hit_rate\":{},\"shed_rate\":{}}}\n",
-        run.burst_jobs,
-        run.admitted,
-        run.shed,
-        run.degraded,
-        json_f64(run.jobs_per_sec),
-        json_f64(run.cache_hit_rate),
-        json_f64(run.shed_rate),
-    )
-}
-
-/// Writes [`serve_json`] to `path`.
-pub fn write_serve_json(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, serve_json())
+    let fields = obj! {
+        "burst_jobs" => run.burst_jobs, "queue_capacity" => BURST_CAPACITY,
+        "degrade_watermark" => BURST_WATERMARK, "trials_per_job" => BURST_TRIALS,
+        "admitted" => run.admitted, "shed" => run.shed, "degraded" => run.degraded,
+        "jobs_per_sec" => run.jobs_per_sec, "cache_hit_rate" => run.cache_hit_rate,
+        "shed_rate" => run.shed_rate,
+    };
+    let description = "simulation service under a synthetic overload burst: admission, \
+                       shedding, watermark degradation, memoization";
+    Record::new("BENCH_0010", description, fields)
+        .series("serve_jobs_per_sec", run.jobs_per_sec, Gate::Floor(0.8))
+        .series("serve_cache_hit_rate", run.cache_hit_rate, Gate::Floor(0.8))
+        .series("serve_shed_rate", run.shed_rate, Gate::Info)
 }
 
 #[cfg(test)]

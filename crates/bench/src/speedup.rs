@@ -16,7 +16,8 @@ use crate::faults::{
     cordic_campaign_with, cordic_plan, cordic_stuck_campaign, cordic_stuck_plan, default_workers,
     run_cordic, REPORT_SEED, REPORT_TRIALS,
 };
-use crate::tables::{figure5_with, json_f64};
+use crate::record::{obj, Gate, Record};
+use crate::tables::figure5_with;
 use softsim_resilience::{CampaignConfig, CampaignReport, CampaignRun, Injection};
 use std::time::Instant;
 
@@ -35,12 +36,12 @@ fn parallel(plan: &[Injection], workers: usize) -> CampaignReport {
         .0
 }
 
-/// The machine-readable `BENCH_0004` record as a JSON string.
+/// The machine-readable `BENCH_0004` record.
 ///
 /// # Panics
 /// Panics if the three campaign runs or the two sweep runs disagree on
 /// any result — wall-clock without equivalence is meaningless here.
-pub fn speedup_json() -> String {
+pub fn speedup_json() -> Record {
     let workers = default_workers();
     let stepped = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
     let (serial_s, serial) = timed(|| cordic_campaign_with(REPORT_SEED, REPORT_TRIALS, stepped));
@@ -69,58 +70,40 @@ pub fn speedup_json() -> String {
         "the parallel sweep must reproduce the serial cycle counts"
     );
 
-    let ratio = |base: f64, opt: f64| json_f64(base / opt.max(1e-12));
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0004\",\
-         \"description\":\"stall fast-forwarding + parallel sweep engine wall-clock vs the serial stepped baseline\",\
-         \"workers\":{workers},\
-         \"campaign\":{{\"workload\":\"cordic fault campaign\",\"trials\":{REPORT_TRIALS},\
-         \"serial\":{{\"wall_seconds\":{}}},\
-         \"fast_forward\":{{\"wall_seconds\":{}}},\
-         \"parallel\":{{\"wall_seconds\":{}}},\
-         \"speedup_fast_forward\":{},\"speedup_parallel\":{},\
-         \"reports_identical\":true}},\
-         \"stall_campaign\":{{\"workload\":\"cordic stuck-flag campaign (every trial deadlocks)\",\"trials\":{REPORT_TRIALS},\
-         \"serial\":{{\"wall_seconds\":{}}},\
-         \"fast_forward\":{{\"wall_seconds\":{}}},\
-         \"parallel\":{{\"wall_seconds\":{}}},\
-         \"speedup_fast_forward\":{},\"speedup_parallel\":{},\
-         \"reports_identical\":true}},\
-         \"sweep\":{{\"workload\":\"figure5 cordic DSE grid\",\"points\":{},\
-         \"serial\":{{\"wall_seconds\":{}}},\
-         \"parallel\":{{\"wall_seconds\":{}}},\
-         \"speedup\":{},\"points_identical\":true}}}}\n",
-        json_f64(serial_s),
-        json_f64(ff_s),
-        json_f64(par_s),
-        ratio(serial_s, ff_s),
-        ratio(serial_s, par_s),
-        json_f64(stuck_serial_s),
-        json_f64(stuck_ff_s),
-        json_f64(stuck_par_s),
-        ratio(stuck_serial_s, stuck_ff_s),
-        ratio(stuck_serial_s, stuck_par_s),
-        sweep_cycles.len(),
-        json_f64(sweep_serial_s),
-        json_f64(sweep_par_s),
-        ratio(sweep_serial_s, sweep_par_s),
-    )
-}
-
-/// Writes [`speedup_json`] to `path`.
-pub fn write_speedup_json(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, speedup_json())
+    let ratio = |base: f64, opt: f64| base / opt.max(1e-12);
+    let wall = |seconds: f64| obj! { "wall_seconds" => seconds };
+    let campaign = |workload: &str, serial: f64, ff: f64, par: f64| {
+        obj! {
+            "workload" => workload, "trials" => REPORT_TRIALS,
+            "serial" => wall(serial), "fast_forward" => wall(ff), "parallel" => wall(par),
+            "speedup_fast_forward" => ratio(serial, ff), "speedup_parallel" => ratio(serial, par),
+            "reports_identical" => true,
+        }
+    };
+    let stall_workload = "cordic stuck-flag campaign (every trial deadlocks)";
+    let fields = obj! {
+        "workers" => workers,
+        "campaign" => campaign("cordic fault campaign", serial_s, ff_s, par_s),
+        "stall_campaign" => campaign(stall_workload, stuck_serial_s, stuck_ff_s, stuck_par_s),
+        "sweep" => obj! {
+            "workload" => "figure5 cordic DSE grid", "points" => sweep_cycles.len(),
+            "serial" => wall(sweep_serial_s), "parallel" => wall(sweep_par_s),
+            "speedup" => ratio(sweep_serial_s, sweep_par_s), "points_identical" => true,
+        },
+    };
+    let description =
+        "stall fast-forwarding + parallel sweep engine wall-clock vs the serial stepped baseline";
+    Record::new("BENCH_0004", description, fields)
+        .series("fast_forward_speedup_stall", ratio(stuck_serial_s, stuck_ff_s), Gate::Floor(0.8))
+        .series("fast_forward_speedup_campaign", ratio(serial_s, ff_s), Gate::Info)
+        .series("parallel_speedup_stall", ratio(stuck_serial_s, stuck_par_s), Gate::Info)
 }
 
 #[cfg(test)]
 mod tests {
-    use softsim_trace::json::parse;
-
     #[test]
     fn speedup_json_is_well_formed_with_required_keys() {
-        let doc = parse(&super::speedup_json()).expect("valid json");
-        assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), "softsim-bench/1");
-        assert_eq!(doc.get("bench_id").unwrap().as_str().unwrap(), "BENCH_0004");
+        let doc = super::speedup_json().doc();
         for section in ["campaign", "stall_campaign"] {
             let campaign = doc.get(section).unwrap();
             for key in ["serial", "fast_forward", "parallel"] {

@@ -17,9 +17,7 @@
 //! every other item's result; [`parallel_map`] finishes the whole sweep
 //! first and only then re-raises the first panic.
 
-use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 /// Best-effort string rendering of a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -53,24 +51,7 @@ where
     T: Send,
     R: Send,
 {
-    parallel_map_with_telemetry(items, workers, f, None)
-}
-
-/// [`parallel_map`] with optional harness telemetry: one sweep span for
-/// the whole call plus one sweep-item span per item (worker ids follow
-/// chunk order). Results are byte-identical whether `telemetry` is
-/// `None` or `Some`.
-pub fn parallel_map_with_telemetry<T, R>(
-    items: Vec<T>,
-    workers: usize,
-    f: impl Fn(T) -> R + Sync,
-    telemetry: Option<&Telemetry>,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-{
-    let results = parallel_try_map_with_telemetry(items, workers, f, telemetry);
+    let results = parallel_try_map(items, workers, f);
     let mut out = Vec::with_capacity(results.len());
     let mut first_panic = None;
     for r in results {
@@ -100,72 +81,31 @@ where
     T: Send,
     R: Send,
 {
-    parallel_try_map_with_telemetry(items, workers, f, None)
-}
-
-/// [`parallel_try_map`] with optional harness telemetry; see
-/// [`parallel_map_with_telemetry`] for the span set.
-pub fn parallel_try_map_with_telemetry<T, R>(
-    items: Vec<T>,
-    workers: usize,
-    f: impl Fn(T) -> R + Sync,
-    telemetry: Option<&Telemetry>,
-) -> Vec<Result<R, String>>
-where
-    T: Send,
-    R: Send,
-{
-    let sweep_start = telemetry.map(|_| Instant::now());
-    let item_span = |worker: u32, start: Option<Instant>| {
-        if let (Some(t), Some(s)) = (telemetry, start) {
-            t.record(SpanRecord::new(SpanKind::SweepItem, worker, s.elapsed()));
-        }
-    };
     let guarded = |item: T| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(panic_message);
     let n = items.len();
     let workers = workers.clamp(1, n.max(1));
-    let out = if workers == 1 {
-        items
-            .into_iter()
-            .map(|item| {
-                let start = telemetry.map(|_| Instant::now());
-                let r = guarded(item);
-                item_span(0, start);
-                r
-            })
-            .collect()
-    } else {
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<Option<Result<R, String>>> =
-            std::iter::repeat_with(|| None).take(n).collect();
-        let mut items = items;
-        std::thread::scope(|scope| {
-            let guarded = &guarded;
-            let item_span = &item_span;
-            let mut slots = out.as_mut_slice();
-            let mut worker_id: u32 = 0;
-            while !slots.is_empty() {
-                let take = chunk.min(slots.len());
-                let (slot_chunk, slot_rest) = slots.split_at_mut(take);
-                slots = slot_rest;
-                let chunk_items: Vec<T> = items.drain(..take).collect();
-                let worker = worker_id;
-                worker_id += 1;
-                scope.spawn(move || {
-                    for (slot, item) in slot_chunk.iter_mut().zip(chunk_items) {
-                        let start = telemetry.map(|_| Instant::now());
-                        *slot = Some(guarded(item));
-                        item_span(worker, start);
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|r| r.expect("worker filled every slot")).collect()
-    };
-    if let (Some(t), Some(start)) = (telemetry, sweep_start) {
-        t.record(SpanRecord::new(SpanKind::Sweep, 0, start.elapsed()));
+    if workers == 1 {
+        return items.into_iter().map(guarded).collect();
     }
-    out
+    let chunk = n.div_ceil(workers);
+    let mut out: Vec<Option<Result<R, String>>> = std::iter::repeat_with(|| None).take(n).collect();
+    let mut items = items;
+    std::thread::scope(|scope| {
+        let guarded = &guarded;
+        let mut slots = out.as_mut_slice();
+        while !slots.is_empty() {
+            let take = chunk.min(slots.len());
+            let (slot_chunk, slot_rest) = slots.split_at_mut(take);
+            slots = slot_rest;
+            let chunk_items: Vec<T> = items.drain(..take).collect();
+            scope.spawn(move || {
+                for (slot, item) in slot_chunk.iter_mut().zip(chunk_items) {
+                    *slot = Some(guarded(item));
+                }
+            });
+        }
+    });
+    out.into_iter().map(|r| r.expect("worker filled every slot")).collect()
 }
 
 /// The environment variable overriding the sweep worker count.

@@ -5,6 +5,7 @@
 //! measured values.
 
 use crate::measure::{self, SimTiming};
+use crate::record::{obj, Gate, Record};
 use crate::workloads::{self, CORDIC_ITERS, CORDIC_PS, MATMUL_NS, MATMUL_TABLE_N};
 use softsim_apps::cordic::hardware::pipeline_resources;
 use softsim_apps::matmul::hardware::unit_resources;
@@ -615,26 +616,6 @@ pub fn metrics_text() -> String {
     out
 }
 
-/// A JSON number: finite `f64`s render via `Display` (shortest
-/// round-trip, never exponent notation); non-finite values are clamped
-/// to `0` so the output stays RFC 8259 valid.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".into()
-    }
-}
-
-fn json_timing(t: &SimTiming) -> String {
-    format!(
-        "{{\"wall_seconds\":{},\"sim_cycles\":{},\"cycles_per_sec\":{}}}",
-        json_f64(t.seconds()),
-        t.sim_cycles,
-        json_f64(t.cycles_per_sec())
-    )
-}
-
 /// The machine-readable benchmark record (`BENCH_0003.json`): wall
 /// time, simulated cycles and cycles/sec for the co-simulator vs the
 /// RTL baseline on the Table I workloads, plus the Table II component
@@ -642,19 +623,27 @@ fn json_timing(t: &SimTiming) -> String {
 /// and therefore machine-dependent.
 ///
 /// `repeats` scales each timed workload, exactly as in [`table1`].
-pub fn bench_json(repeats: u32) -> String {
-    let mut workload_rows = Vec::new();
-    let mut add = |name: &str, cosim: SimTiming, rtl: SimTiming| {
-        workload_rows.push(format!(
-            "{{\"name\":\"{name}\",\"cosim\":{},\"rtl\":{},\"speedup_vs_rtl\":{}}}",
-            json_timing(&cosim),
-            json_timing(&rtl),
-            json_f64(rtl.seconds() / cosim.seconds().max(1e-12))
-        ));
+pub fn bench_json(repeats: u32) -> Record {
+    let timing = |t: &SimTiming| {
+        obj! {
+            "wall_seconds" => t.seconds(), "sim_cycles" => t.sim_cycles,
+            "cycles_per_sec" => t.cycles_per_sec(),
+        }
+    };
+    let mut rows = Vec::new();
+    let (mut cosim_sum, mut speedup_sum) = (0.0, 0.0);
+    let mut add = |name: String, cosim: SimTiming, rtl: SimTiming| {
+        let speedup = rtl.seconds() / cosim.seconds().max(1e-12);
+        cosim_sum += cosim.cycles_per_sec();
+        speedup_sum += speedup;
+        rows.push(obj! {
+            "name" => name, "cosim" => timing(&cosim), "rtl" => timing(&rtl),
+            "speedup_vs_rtl" => speedup,
+        });
     };
     for &p in &CORDIC_PS {
         add(
-            &format!("cordic_24iter_p{p}"),
+            format!("cordic_24iter_p{p}"),
             measure::time_cosim(|| workloads::cordic_cosim_long(24, Some(p)), repeats),
             measure::time_rtl(|| workloads::cordic_rtl_long(24, Some(p)), repeats),
         );
@@ -662,38 +651,31 @@ pub fn bench_json(repeats: u32) -> String {
     for nb in [2usize, 4] {
         let n = MATMUL_TABLE_N;
         add(
-            &format!("matmul_{n}x{n}_nb{nb}"),
+            format!("matmul_{n}x{n}_nb{nb}"),
             measure::time_cosim(|| workloads::matmul_cosim(n, Some(nb)), repeats),
             measure::time_rtl(|| workloads::matmul_rtl_sys(n, Some(nb)), repeats),
         );
     }
+    let n = rows.len() as f64;
 
     let img = workloads::cordic_sw_image(24);
-    let iss = measure::time_iss_alone(&img, 20 * repeats);
+    let iss = measure::time_iss_alone(&img, 20 * repeats).cycles_per_sec();
     let blocks =
-        measure::time_blocks_alone(softsim_apps::cordic::hardware::cordic_graph(4), 100_000);
-    let components =
-        [("iss_alone", iss.cycles_per_sec()), ("blocks_alone", blocks.cycles_per_sec())]
-            .iter()
-            .map(|(name, cps)| {
-                format!("{{\"name\":\"{name}\",\"cycles_per_sec\":{}}}", json_f64(*cps))
-            })
-            .collect::<Vec<_>>();
+        measure::time_blocks_alone(softsim_apps::cordic::hardware::cordic_graph(4), 100_000)
+            .cycles_per_sec();
+    let component = |name: &str, cps: f64| obj! { "name" => name, "cycles_per_sec" => cps };
+    let components = vec![component("iss_alone", iss), component("blocks_alone", blocks)];
 
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0003\",\
-         \"description\":\"co-simulation vs RTL wall-clock speed (Ou & Prasanna, IPDPS 2005, Tables I-II)\",\
-         \"clock_hz\":{},\"repeats\":{repeats},\
-         \"workloads\":[{}],\"components\":[{}]}}\n",
-        json_f64(PAPER_CLOCK_HZ),
-        workload_rows.join(","),
-        components.join(",")
-    )
-}
-
-/// Writes [`bench_json`] to `path`.
-pub fn write_bench_json(path: &std::path::Path, repeats: u32) -> std::io::Result<()> {
-    std::fs::write(path, bench_json(repeats))
+    let description =
+        "co-simulation vs RTL wall-clock speed (Ou & Prasanna, IPDPS 2005, Tables I-II)";
+    let fields = obj! {
+        "clock_hz" => PAPER_CLOCK_HZ, "repeats" => repeats, "workloads" => rows,
+        "components" => components,
+    };
+    Record::new("BENCH_0003", description, fields)
+        .series("iss_cycles_per_sec", iss, Gate::Floor(0.8))
+        .series("cosim_cycles_per_sec_mean", cosim_sum / n, Gate::Floor(0.8))
+        .series("speedup_vs_rtl_mean", speedup_sum / n, Gate::Info)
 }
 
 /// The deterministic record committed as `tables_output.txt`: every
@@ -717,7 +699,7 @@ pub fn record_text() -> String {
         claims_text(),
         profile_text(),
         crate::hotspots::hotspots_text(),
-        crate::faults::faults_text(),
+        crate::faults::faults_text(None),
         crate::recover::recovery_text(),
         crate::durable::durable_text(),
         ablation_fsl_vs_opb_text(),
@@ -810,22 +792,17 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed_with_required_keys() {
-        let text = bench_json(1);
-        let doc = softsim_trace::json::parse(&text).expect("BENCH_0003 must be valid JSON");
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("softsim-bench/1"));
-        assert_eq!(doc.get("bench_id").unwrap().as_str(), Some("BENCH_0003"));
+        let doc = bench_json(1).doc();
         let workloads = doc.get("workloads").unwrap().as_array().unwrap();
         assert_eq!(workloads.len(), 6, "four CORDIC configs + two matmul configs");
         for w in workloads {
-            assert!(w.get("name").unwrap().as_str().is_some());
             for sim in ["cosim", "rtl"] {
                 let t = w.get(sim).unwrap();
                 assert!(t.get("wall_seconds").unwrap().as_f64().unwrap() > 0.0);
                 assert!(t.get("sim_cycles").unwrap().as_f64().unwrap() > 0.0);
                 assert!(t.get("cycles_per_sec").unwrap().as_f64().unwrap() > 0.0);
             }
-            assert!(w.get("speedup_vs_rtl").unwrap().as_f64().is_some());
         }
-        assert!(!doc.get("components").unwrap().as_array().unwrap().is_empty());
+        assert_eq!(doc.get("components").unwrap().as_array().unwrap().len(), 2);
     }
 }

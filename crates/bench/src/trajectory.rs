@@ -18,11 +18,14 @@
 //! no longer extracted, or freshly extracted but absent from the
 //! committed record — fails the gate loudly instead of being skipped.
 //!
-//! Extraction is pure parsing via `softsim_trace::json` — given the
-//! same BENCH files the record is byte-identical, which is what the
-//! staleness test in this module asserts against the committed file.
+//! Extraction is generic: each BENCH record declares its own headline
+//! series (name, value, gate) in a `series` array when it is written
+//! ([`crate::record::Record::series`]), and this module only collects
+//! those arrays in [`TRAJECTORY_SOURCES`] order. Given the same BENCH
+//! files the record is byte-identical, which is what the staleness test
+//! in this module asserts against the committed file.
 
-use crate::tables::json_f64;
+use crate::record::{obj, Gate, Json, Obj, Series, SCHEMA};
 use softsim_trace::json::{parse, Value};
 use std::path::Path;
 
@@ -40,40 +43,11 @@ pub const TRAJECTORY_SOURCES: [&str; 7] = [
     "BENCH_0010.json",
 ];
 
-/// How a series is gated against the committed record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Gate {
-    /// Regression floor: `fresh >= factor * committed`.
-    Floor(f64),
-    /// Regression ceiling: `fresh <= factor * committed`.
-    Ceiling(f64),
-    /// Recorded but not gated (machine-dependent ratios whose absolute
-    /// floors live in their own CI jobs).
-    Info,
-}
-
-impl Gate {
-    fn kind(&self) -> &'static str {
-        match self {
-            Gate::Floor(_) => "floor",
-            Gate::Ceiling(_) => "ceiling",
-            Gate::Info => "info",
-        }
-    }
-
-    fn factor(&self) -> f64 {
-        match self {
-            Gate::Floor(f) | Gate::Ceiling(f) => *f,
-            Gate::Info => 0.0,
-        }
-    }
-}
-
 /// One headline series entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesPoint {
     /// Stable series name (the gate keys on it).
-    pub name: &'static str,
+    pub name: String,
     /// Which BENCH record it was extracted from.
     pub source: &'static str,
     /// The extracted value.
@@ -82,203 +56,50 @@ pub struct SeriesPoint {
     pub gate: Gate,
 }
 
-fn read_json(dir: &Path, file: &str) -> Result<Value, String> {
-    let path = dir.join(file);
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    parse(&text).map_err(|e| format!("{file}: {e}"))
+/// The parsed `series` array of the JSON file at `path`.
+fn read_series(path: &Path) -> Result<Vec<Series>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let entries = doc
+        .get("series")
+        .and_then(Value::as_array)
+        .ok_or_else(|| format!("{}: missing `series`", path.display()))?;
+    entries
+        .iter()
+        .map(|e| Series::parse(e).map_err(|err| format!("{}: {err}", path.display())))
+        .collect()
 }
 
-fn f64_at(doc: &Value, file: &str, path: &[&str]) -> Result<f64, String> {
-    let mut v = doc;
-    for key in path {
-        v = v.get(key).ok_or_else(|| format!("{file}: missing key `{}`", path.join(".")))?;
-    }
-    v.as_f64().ok_or_else(|| format!("{file}: `{}` is not a number", path.join(".")))
-}
-
-/// Extracts the headline series from the BENCH records in `dir`.
-///
-/// The selection is deliberately small and stable: interpreter and
-/// co-sim throughput plus RTL speedup (BENCH_0003), fast-forward and
-/// parallel speedups (BENCH_0004), the fully-hardened recovery rate
-/// (BENCH_0005), total profiled hotspot cycles (BENCH_0006), journal
-/// bytes per trial (BENCH_0007), translated-execution throughput and
-/// speedup (BENCH_0009), and service jobs/sec, cache hit rate and shed
-/// rate under overload (BENCH_0010).
+/// Collects the series every BENCH record in `dir` declares, in
+/// [`TRAJECTORY_SOURCES`] order and each record's declaration order.
 pub fn extract(dir: &Path) -> Result<Vec<SeriesPoint>, String> {
     let mut out = Vec::new();
-
-    let b3 = read_json(dir, "BENCH_0003.json")?;
-    let components = b3
-        .get("components")
-        .and_then(|v| v.as_array())
-        .ok_or("BENCH_0003.json: missing `components`")?;
-    let iss = components
-        .iter()
-        .find(|c| c.get("name").and_then(|n| n.as_str()) == Some("iss_alone"))
-        .ok_or("BENCH_0003.json: no `iss_alone` component")?;
-    out.push(SeriesPoint {
-        name: "iss_cycles_per_sec",
-        source: "BENCH_0003.json",
-        value: f64_at(iss, "BENCH_0003.json", &["cycles_per_sec"])?,
-        gate: Gate::Floor(0.8),
-    });
-    let workloads = b3
-        .get("workloads")
-        .and_then(|v| v.as_array())
-        .ok_or("BENCH_0003.json: missing `workloads`")?;
-    if workloads.is_empty() {
-        return Err("BENCH_0003.json: empty `workloads`".into());
-    }
-    let mut cosim_sum = 0.0;
-    let mut speedup_sum = 0.0;
-    for w in workloads {
-        cosim_sum += f64_at(w, "BENCH_0003.json", &["cosim", "cycles_per_sec"])?;
-        speedup_sum += f64_at(w, "BENCH_0003.json", &["speedup_vs_rtl"])?;
-    }
-    out.push(SeriesPoint {
-        name: "cosim_cycles_per_sec_mean",
-        source: "BENCH_0003.json",
-        value: cosim_sum / workloads.len() as f64,
-        gate: Gate::Floor(0.8),
-    });
-    out.push(SeriesPoint {
-        name: "speedup_vs_rtl_mean",
-        source: "BENCH_0003.json",
-        value: speedup_sum / workloads.len() as f64,
-        gate: Gate::Info,
-    });
-
-    let b4 = read_json(dir, "BENCH_0004.json")?;
-    out.push(SeriesPoint {
-        name: "fast_forward_speedup_stall",
-        source: "BENCH_0004.json",
-        value: f64_at(&b4, "BENCH_0004.json", &["stall_campaign", "speedup_fast_forward"])?,
-        gate: Gate::Floor(0.8),
-    });
-    out.push(SeriesPoint {
-        name: "fast_forward_speedup_campaign",
-        source: "BENCH_0004.json",
-        value: f64_at(&b4, "BENCH_0004.json", &["campaign", "speedup_fast_forward"])?,
-        gate: Gate::Info,
-    });
-    out.push(SeriesPoint {
-        name: "parallel_speedup_stall",
-        source: "BENCH_0004.json",
-        value: f64_at(&b4, "BENCH_0004.json", &["stall_campaign", "speedup_parallel"])?,
-        gate: Gate::Info,
-    });
-
-    let b5 = read_json(dir, "BENCH_0005.json")?;
-    let rows =
-        b5.get("rows").and_then(|v| v.as_array()).ok_or("BENCH_0005.json: missing `rows`")?;
-    let mut full_rate: Option<f64> = None;
-    for row in rows {
-        if row.get("hardening").and_then(|h| h.as_str()) == Some("ecc+tmr") {
-            let rate = f64_at(row, "BENCH_0005.json", &["recovery_rate"])?;
-            full_rate = Some(match full_rate {
-                Some(r) => r.min(rate),
-                None => rate,
-            });
+    for source in TRAJECTORY_SOURCES {
+        for s in read_series(&dir.join(source))? {
+            out.push(SeriesPoint { name: s.name, source, value: s.value, gate: s.gate });
         }
     }
-    out.push(SeriesPoint {
-        name: "recovery_rate_full_hardening",
-        source: "BENCH_0005.json",
-        value: full_rate.ok_or("BENCH_0005.json: no `ecc+tmr` rows")?,
-        gate: Gate::Floor(0.8),
-    });
-
-    let b6 = read_json(dir, "BENCH_0006.json")?;
-    let workloads = b6
-        .get("workloads")
-        .and_then(|v| v.as_array())
-        .ok_or("BENCH_0006.json: missing `workloads`")?;
-    let mut cycles = 0.0;
-    for w in workloads {
-        cycles += f64_at(w, "BENCH_0006.json", &["cycles"])?;
-    }
-    out.push(SeriesPoint {
-        name: "hotspot_total_cycles",
-        source: "BENCH_0006.json",
-        value: cycles,
-        gate: Gate::Info,
-    });
-
-    let b7 = read_json(dir, "BENCH_0007.json")?;
-    let journal_bytes = f64_at(&b7, "BENCH_0007.json", &["campaign", "journal_bytes"])?;
-    let trials = f64_at(&b7, "BENCH_0007.json", &["trials"])?;
-    if trials <= 0.0 {
-        return Err("BENCH_0007.json: non-positive `trials`".into());
-    }
-    out.push(SeriesPoint {
-        name: "durable_journal_bytes_per_trial",
-        source: "BENCH_0007.json",
-        value: journal_bytes / trials,
-        gate: Gate::Ceiling(1.25),
-    });
-
-    let b9 = read_json(dir, "BENCH_0009.json")?;
-    out.push(SeriesPoint {
-        name: "translated_cycles_per_sec",
-        source: "BENCH_0009.json",
-        value: f64_at(&b9, "BENCH_0009.json", &["iss", "translated", "cycles_per_sec"])?,
-        gate: Gate::Floor(0.8),
-    });
-    out.push(SeriesPoint {
-        name: "translate_speedup",
-        source: "BENCH_0009.json",
-        value: f64_at(&b9, "BENCH_0009.json", &["best_speedup"])?,
-        gate: Gate::Info,
-    });
-
-    let b10 = read_json(dir, "BENCH_0010.json")?;
-    out.push(SeriesPoint {
-        name: "serve_jobs_per_sec",
-        source: "BENCH_0010.json",
-        value: f64_at(&b10, "BENCH_0010.json", &["jobs_per_sec"])?,
-        gate: Gate::Floor(0.8),
-    });
-    out.push(SeriesPoint {
-        name: "serve_cache_hit_rate",
-        source: "BENCH_0010.json",
-        value: f64_at(&b10, "BENCH_0010.json", &["cache_hit_rate"])?,
-        gate: Gate::Floor(0.8),
-    });
-    out.push(SeriesPoint {
-        name: "serve_shed_rate",
-        source: "BENCH_0010.json",
-        value: f64_at(&b10, "BENCH_0010.json", &["shed_rate"])?,
-        gate: Gate::Info,
-    });
-
     Ok(out)
 }
 
 /// Renders a series list as the `BENCH_TRAJECTORY.json` document.
 pub fn trajectory_json(series: &[SeriesPoint]) -> String {
-    let entries: Vec<String> = series
+    let entries: Vec<Obj> = series
         .iter()
         .map(|p| {
-            format!(
-                "{{\"name\":\"{}\",\"source\":\"{}\",\"value\":{},\"gate\":\"{}\",\"factor\":{}}}",
-                p.name,
-                p.source,
-                json_f64(p.value),
-                p.gate.kind(),
-                json_f64(p.gate.factor()),
-            )
+            obj! {
+                "name" => &p.name, "source" => p.source, "value" => p.value,
+                "gate" => p.gate.kind(), "factor" => p.gate.factor(),
+            }
         })
         .collect();
-    let sources: Vec<String> = TRAJECTORY_SOURCES.iter().map(|s| format!("\"{s}\"")).collect();
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_TRAJECTORY\",\
-         \"description\":\"headline performance-trajectory series aggregated from the \
-         committed BENCH records; floors/ceilings gate regressions in CI\",\
-         \"sources\":[{}],\"series\":[{}]}}\n",
-        sources.join(","),
-        entries.join(","),
-    )
+    let doc = obj! {
+        "schema" => SCHEMA, "bench_id" => "BENCH_TRAJECTORY",
+        "description" => "headline performance-trajectory series aggregated from the committed \
+                          BENCH records; floors/ceilings gate regressions in CI",
+        "sources" => TRAJECTORY_SOURCES.as_slice(), "series" => entries,
+    };
+    doc.to_json() + "\n"
 }
 
 /// Extracts from `dir` and writes `BENCH_TRAJECTORY.json` (or `out`).
@@ -294,52 +115,38 @@ pub fn write_trajectory(dir: &Path, out: &Path) -> Result<(), String> {
 /// never fail.
 pub fn gate(dir: &Path, committed: &Path) -> Result<String, String> {
     let fresh = extract(dir)?;
-    let text =
-        std::fs::read_to_string(committed).map_err(|e| format!("{}: {e}", committed.display()))?;
-    let doc = parse(&text).map_err(|e| format!("{}: {e}", committed.display()))?;
-    let series = doc
-        .get("series")
-        .and_then(|v| v.as_array())
-        .ok_or("committed trajectory: missing `series`")?;
+    let series = read_series(committed)?;
     let mut report = String::from("trajectory gate (fresh vs committed):\n");
     let mut failures = 0usize;
-    for entry in series {
-        let name = entry
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("committed trajectory: series entry without `name`")?;
-        let committed_value = entry
-            .get("value")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("committed trajectory: `{name}` has no value"))?;
-        let kind = entry.get("gate").and_then(|g| g.as_str()).unwrap_or("info");
-        let factor = entry.get("factor").and_then(|f| f.as_f64()).unwrap_or(0.0);
-        let Some(point) = fresh.iter().find(|p| p.name == name) else {
+    for entry in &series {
+        let (name, committed_value) = (&entry.name, entry.value);
+        let Some(point) = fresh.iter().find(|p| &p.name == name) else {
             report.push_str(&format!("  FAIL {name}: missing from fresh extraction\n"));
             failures += 1;
             continue;
         };
-        let (ok, bound) = match kind {
-            "floor" => (point.value >= factor * committed_value, factor * committed_value),
-            "ceiling" => (point.value <= factor * committed_value, factor * committed_value),
-            _ => (true, committed_value),
+        let (ok, bound) = match entry.gate {
+            Gate::Floor(f) => (point.value >= f * committed_value, f * committed_value),
+            Gate::Ceiling(f) => (point.value <= f * committed_value, f * committed_value),
+            Gate::Info => (true, committed_value),
         };
         let verdict = if ok { "ok  " } else { "FAIL" };
         if !ok {
             failures += 1;
         }
         report.push_str(&format!(
-            "  {verdict} {name}: fresh {:.6e} vs committed {:.6e} ({kind} {:.6e})\n",
-            point.value, committed_value, bound,
+            "  {verdict} {name}: fresh {:.6e} vs committed {:.6e} ({} {:.6e})\n",
+            point.value,
+            committed_value,
+            entry.gate.kind(),
+            bound,
         ));
     }
     // The reverse direction: a freshly extracted gated series that the
     // committed record does not know about means the record is stale —
     // a new floor/ceiling would silently go ungated until regenerated.
-    let committed_names: Vec<&str> =
-        series.iter().filter_map(|e| e.get("name").and_then(|n| n.as_str())).collect();
     for point in &fresh {
-        if matches!(point.gate, Gate::Info) || committed_names.contains(&point.name) {
+        if matches!(point.gate, Gate::Info) || series.iter().any(|e| e.name == point.name) {
             continue;
         }
         report.push_str(&format!(
@@ -429,14 +236,14 @@ mod tests {
         assert!(matches!(j.gate, Gate::Ceiling(f) if f > 1.0));
     }
 
-    /// Writes `series` as a committed trajectory file in a fresh temp
-    /// dir and runs the gate against it, cleaning up afterwards.
-    fn gate_against(series: &[SeriesPoint], tag: &str) -> Result<String, String> {
+    /// Writes `text` as a committed trajectory file in a fresh temp dir
+    /// and runs the gate against it, cleaning up afterwards.
+    fn gate_against(text: &str, tag: &str) -> Result<String, String> {
         let dir =
             std::env::temp_dir().join(format!("softsim_trajectory_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let committed = dir.join(TRAJECTORY_FILE);
-        std::fs::write(&committed, trajectory_json(series)).unwrap();
+        std::fs::write(&committed, text).unwrap();
         let result = gate(&repo_root(), &committed);
         let _ = std::fs::remove_dir_all(&dir);
         result
@@ -449,10 +256,11 @@ mod tests {
         let mut series = extract(&repo_root()).unwrap();
         for p in &mut series {
             if p.name == "iss_cycles_per_sec" {
-                p.name = "renamed_out_from_under_the_gate";
+                p.name = "renamed_out_from_under_the_gate".into();
             }
         }
-        let err = gate_against(&series, "vanished").expect_err("unknown committed series");
+        let err = gate_against(&trajectory_json(&series), "vanished")
+            .expect_err("unknown committed series");
         assert!(
             err.contains("FAIL renamed_out_from_under_the_gate: missing from fresh extraction"),
             "unexpected report: {err}"
@@ -469,7 +277,8 @@ mod tests {
             .into_iter()
             .filter(|p| p.name != "translated_cycles_per_sec")
             .collect();
-        let err = gate_against(&series, "stale").expect_err("stale committed record");
+        let err =
+            gate_against(&trajectory_json(&series), "stale").expect_err("stale committed record");
         assert!(
             err.contains("FAIL translated_cycles_per_sec: gated series missing"),
             "unexpected report: {err}"
@@ -480,6 +289,21 @@ mod tests {
             .into_iter()
             .filter(|p| p.name != "translate_speedup")
             .collect();
-        gate_against(&without_info, "info").expect("info series are never demanded");
+        gate_against(&trajectory_json(&without_info), "info")
+            .expect("info series are never demanded");
+    }
+
+    #[test]
+    fn gate_rejects_a_committed_entry_whose_gate_or_factor_is_malformed() {
+        // A typo in the committed gate kind, or a dropped factor, used
+        // to fall back to `info` / a floor of 0 — a gate that can never
+        // fail. Both must be an error naming the series.
+        let committed = trajectory_json(&extract(&repo_root()).unwrap());
+        let typo = committed.replacen(r#""gate":"floor""#, r#""gate":"flor""#, 1);
+        let err = gate_against(&typo, "typo").expect_err("unknown gate kind");
+        assert!(err.contains("iss_cycles_per_sec") && err.contains("flor"), "{err}");
+        let unfactored = committed.replacen(r#","factor":0.8"#, "", 1);
+        let err = gate_against(&unfactored, "factorless").expect_err("missing factor");
+        assert!(err.contains("iss_cycles_per_sec") && err.contains("factor"), "{err}");
     }
 }

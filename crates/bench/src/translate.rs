@@ -14,7 +14,7 @@
 //! not.
 
 use crate::measure::{time_cosim, time_iss_alone, SimTiming};
-use crate::tables::json_f64;
+use crate::record::{obj, Gate, Record};
 use crate::workloads;
 use softsim_bus::FslBank;
 use softsim_cosim::{CoSim, CoSimStop};
@@ -87,12 +87,12 @@ fn assert_cosim_equivalent(make: impl Fn() -> CoSim) -> u64 {
     interp.0.cycles
 }
 
-/// The machine-readable `BENCH_0009` record as a JSON string.
+/// The machine-readable `BENCH_0009` record.
 ///
 /// # Panics
 /// Panics if any translated run differs from its interpreted twin on
 /// any observable — wall-clock without equivalence is meaningless here.
-pub fn translate_json() -> String {
+pub fn translate_json() -> Record {
     // ISS alone: the paper's Table II row 1 workload family, software
     // block matmul at the headline size.
     let iss_image = workloads::matmul_image(workloads::MATMUL_TABLE_N, None);
@@ -116,48 +116,39 @@ pub fn translate_json() -> String {
 
     let iss_speedup = iss_xlate.cycles_per_sec() / iss_interp.cycles_per_sec().max(1e-12);
     let cosim_speedup = cosim_xlate.cycles_per_sec() / cosim_interp.cycles_per_sec().max(1e-12);
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0009\",\
-         \"description\":\"translated basic-block execution vs the stepped interpreter, equivalence-checked\",\
-         \"iss\":{{\"workload\":\"matmul N={} software image, ISS alone\",\"cycles_per_run\":{iss_cycles},\"repeats\":{ISS_REPEATS},\
-         \"interpreter\":{{\"wall_seconds\":{},\"cycles_per_sec\":{}}},\
-         \"translated\":{{\"wall_seconds\":{},\"cycles_per_sec\":{}}},\
-         \"speedup\":{},\"results_identical\":true}},\
-         \"cosim\":{{\"workload\":\"cordic 24-iteration software batch x{}, co-simulation\",\"cycles_per_run\":{cosim_cycles},\"repeats\":{COSIM_REPEATS},\
-         \"interpreter\":{{\"wall_seconds\":{},\"cycles_per_sec\":{}}},\
-         \"translated\":{{\"wall_seconds\":{},\"cycles_per_sec\":{}}},\
-         \"speedup\":{},\"results_identical\":true}},\
-         \"best_speedup\":{}}}\n",
-        workloads::MATMUL_TABLE_N,
-        json_f64(iss_interp.seconds()),
-        json_f64(iss_interp.cycles_per_sec()),
-        json_f64(iss_xlate.seconds()),
-        json_f64(iss_xlate.cycles_per_sec()),
-        json_f64(iss_speedup),
-        workloads::TIMING_REPS,
-        json_f64(cosim_interp.seconds()),
-        json_f64(cosim_interp.cycles_per_sec()),
-        json_f64(cosim_xlate.seconds()),
-        json_f64(cosim_xlate.cycles_per_sec()),
-        json_f64(cosim_speedup),
-        json_f64(iss_speedup.max(cosim_speedup)),
-    )
-}
-
-/// Writes [`translate_json`] to `path`.
-pub fn write_translate_json(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, translate_json())
+    let best_speedup = iss_speedup.max(cosim_speedup);
+    let side = |t: &SimTiming| {
+        obj! { "wall_seconds" => t.seconds(), "cycles_per_sec" => t.cycles_per_sec() }
+    };
+    let iss_workload = format!("matmul N={} software image, ISS alone", workloads::MATMUL_TABLE_N);
+    let cosim_workload =
+        format!("cordic 24-iteration software batch x{}, co-simulation", workloads::TIMING_REPS);
+    let fields = obj! {
+        "iss" => obj! {
+            "workload" => iss_workload, "cycles_per_run" => iss_cycles, "repeats" => ISS_REPEATS,
+            "interpreter" => side(&iss_interp), "translated" => side(&iss_xlate),
+            "speedup" => iss_speedup, "results_identical" => true,
+        },
+        "cosim" => obj! {
+            "workload" => cosim_workload, "cycles_per_run" => cosim_cycles,
+            "repeats" => COSIM_REPEATS,
+            "interpreter" => side(&cosim_interp), "translated" => side(&cosim_xlate),
+            "speedup" => cosim_speedup, "results_identical" => true,
+        },
+        "best_speedup" => best_speedup,
+    };
+    let description =
+        "translated basic-block execution vs the stepped interpreter, equivalence-checked";
+    Record::new("BENCH_0009", description, fields)
+        .series("translated_cycles_per_sec", iss_xlate.cycles_per_sec(), Gate::Floor(0.8))
+        .series("translate_speedup", best_speedup, Gate::Info)
 }
 
 #[cfg(test)]
 mod tests {
-    use softsim_trace::json::parse;
-
     #[test]
     fn translate_json_is_well_formed_with_required_keys() {
-        let doc = parse(&super::translate_json()).expect("valid json");
-        assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), "softsim-bench/1");
-        assert_eq!(doc.get("bench_id").unwrap().as_str().unwrap(), "BENCH_0009");
+        let doc = super::translate_json().doc();
         for section in ["iss", "cosim"] {
             let s = doc.get(section).unwrap();
             for key in ["interpreter", "translated"] {
