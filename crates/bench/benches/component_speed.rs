@@ -6,63 +6,59 @@
 //! event and per delta cycle).
 
 use softsim_apps::cordic::hardware::cordic_graph;
-use softsim_bench::harness::Harness;
-use softsim_blocks::block::bit;
-use softsim_blocks::{Fix, FixFmt};
+use softsim_bench::measure::{bench_main, blocks_run, time_run, Arm};
 use softsim_rtl::{clock, Kernel};
-use std::hint::black_box;
 
 const CYCLES: u64 = 50_000;
 
+/// A kernel with a chain of `n` combinational processes toggled by a
+/// clock: measures event dispatch + delta-cycle propagation cost.
+fn comb_chain(n: usize) -> Kernel {
+    let mut k = Kernel::new();
+    let clk = clock(&mut k, 20);
+    let mut sigs = vec![k.signal("s0", 32)];
+    for i in 1..=n {
+        sigs.push(k.signal(format!("s{i}"), 32));
+    }
+    // Driver: increment s0 every rising edge.
+    let s0 = sigs[0];
+    k.process("drv", &[clk.clk], move |ctx| {
+        if ctx.rising(clk.clk) {
+            let v = ctx.get(s0).wrapping_add(1);
+            ctx.set(s0, v);
+        }
+    });
+    for i in 0..n {
+        let (a, y) = (sigs[i], sigs[i + 1]);
+        k.process(format!("p{i}"), &[a], move |ctx| {
+            let v = ctx.get(a).wrapping_add(1);
+            ctx.set(y, v);
+        });
+    }
+    k
+}
+
 fn main() {
-    let mut h = Harness::new();
-    h.samples(5);
-
+    let mut arms: Vec<(String, Arm)> = Vec::new();
     for p in [1usize, 4, 8, 16] {
-        h.bench(format!("block_scheduler/cordic_pipeline/{p}"), || {
-            let mut g = cordic_graph(p);
-            let data = g.input_handle("fsl0_data").unwrap();
-            let valid = g.input_handle("fsl0_valid").unwrap();
-            let ctrl = g.input_handle("fsl0_ctrl").unwrap();
-            let word = Fix::from_int(0x1234, FixFmt::INT32);
-            for i in 0..CYCLES {
-                g.set_input_fast(data, word);
-                g.set_input_fast(valid, bit(i % 3 != 0));
-                g.set_input_fast(ctrl, bit(false));
-                g.step();
-            }
-            black_box(g.cycles());
-        });
+        arms.push((
+            format!("block_scheduler/cordic_pipeline/{p}"),
+            Box::new(move || blocks_run(cordic_graph(p), CYCLES)),
+        ));
     }
-
-    // A chain of n combinational processes toggled by a clock: measures
-    // event dispatch + delta-cycle propagation cost.
     for n in [4usize, 16, 64] {
-        h.bench(format!("event_kernel/comb_chain/{n}"), || {
-            let mut k = Kernel::new();
-            let clk = clock(&mut k, 20);
-            let mut sigs = vec![k.signal("s0", 32)];
-            for i in 1..=n {
-                sigs.push(k.signal(format!("s{i}"), 32));
-            }
-            // Driver: increment s0 every rising edge.
-            let s0 = sigs[0];
-            k.process("drv", &[clk.clk], move |ctx| {
-                if ctx.rising(clk.clk) {
-                    let v = ctx.get(s0).wrapping_add(1);
-                    ctx.set(s0, v);
-                }
-            });
-            for i in 0..n {
-                let (a, y) = (sigs[i], sigs[i + 1]);
-                k.process(format!("p{i}"), &[a], move |ctx| {
-                    let v = ctx.get(a).wrapping_add(1);
-                    ctx.set(y, v);
-                });
-            }
-            k.run_until(CYCLES * 20);
-            black_box(k.stats().events);
-        });
+        arms.push((
+            format!("event_kernel/comb_chain/{n}"),
+            Box::new(move || {
+                time_run(
+                    || comb_chain(n),
+                    |k| {
+                        k.run_until(CYCLES * 20);
+                        k.stats().events
+                    },
+                )
+            }),
+        ));
     }
-    h.finish();
+    bench_main(5, arms);
 }

@@ -4,22 +4,19 @@
 //! co-simulation environment explores each design point — the whole value
 //! proposition of the paper.
 
-use softsim_bench::harness::Harness;
+use softsim_bench::measure::{bench_main, cosim_run, Arm};
 use softsim_bench::workloads;
-use softsim_cosim::CoSimStop;
-use std::hint::black_box;
 
 fn main() {
-    let mut h = Harness::new();
-    h.samples(5);
+    let mut arms: Vec<(String, Arm)> = Vec::new();
     for iters in workloads::CORDIC_ITERS {
         for p in std::iter::once(0usize).chain(workloads::CORDIC_PS) {
-            h.bench(format!("fig5_cordic_cosim/iters{iters}_P{p}"), || {
-                let mut sim = workloads::cordic_cosim(iters, (p > 0).then_some(p));
-                assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-                black_box(sim.cpu_stats().cycles);
-            });
+            let make = move || workloads::cordic_cosim(iters, (p > 0).then_some(p));
+            arms.push((
+                format!("fig5_cordic_cosim/iters{iters}_P{p}"),
+                Box::new(move || cosim_run(make)),
+            ));
         }
     }
-    h.finish();
+    bench_main(5, arms);
 }

@@ -3,39 +3,31 @@
 //! event-driven RTL baseline. The ratio of the two reproduces the paper's
 //! headline 5.6×–19.4× simulation speedups.
 
-use softsim_bench::harness::Harness;
+use softsim_bench::measure::{bench_main, cosim_run, rtl_run, Arm};
 use softsim_bench::workloads;
-use softsim_cosim::CoSimStop;
-use softsim_rtl::RtlStop;
-use std::hint::black_box;
 
 fn main() {
-    let mut h = Harness::new();
-    h.samples(5);
+    let mut arms: Vec<(String, Arm)> = Vec::new();
     for p in workloads::CORDIC_PS {
-        h.bench(format!("table1_sim_time/cosim_cordic24/P{p}"), || {
-            let mut sim = workloads::cordic_cosim_long(24, Some(p));
-            assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-            black_box(sim.cpu_stats().cycles);
-        });
-        h.bench(format!("table1_sim_time/rtl_cordic24/P{p}"), || {
-            let mut soc = workloads::cordic_rtl_long(24, Some(p));
-            assert_eq!(soc.run(u64::MAX / 4), RtlStop::Halted);
-            black_box(soc.cpu_cycles());
-        });
+        arms.push((
+            format!("table1_sim_time/cosim_cordic24/P{p}"),
+            Box::new(move || cosim_run(|| workloads::cordic_cosim_long(24, Some(p)))),
+        ));
+        arms.push((
+            format!("table1_sim_time/rtl_cordic24/P{p}"),
+            Box::new(move || rtl_run(|| workloads::cordic_rtl_long(24, Some(p)))),
+        ));
     }
+    let n = workloads::MATMUL_TABLE_N;
     for nb in [2usize, 4] {
-        let n = workloads::MATMUL_TABLE_N;
-        h.bench(format!("table1_sim_time/cosim_matmul16/blk{nb}"), || {
-            let mut sim = workloads::matmul_cosim(n, Some(nb));
-            assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-            black_box(sim.cpu_stats().cycles);
-        });
-        h.bench(format!("table1_sim_time/rtl_matmul16/blk{nb}"), || {
-            let mut soc = workloads::matmul_rtl_sys(n, Some(nb));
-            assert_eq!(soc.run(u64::MAX / 4), RtlStop::Halted);
-            black_box(soc.cpu_cycles());
-        });
+        arms.push((
+            format!("table1_sim_time/cosim_matmul16/blk{nb}"),
+            Box::new(move || cosim_run(|| workloads::matmul_cosim(n, Some(nb)))),
+        ));
+        arms.push((
+            format!("table1_sim_time/rtl_matmul16/blk{nb}"),
+            Box::new(move || rtl_run(|| workloads::matmul_rtl_sys(n, Some(nb)))),
+        ));
     }
-    h.finish();
+    bench_main(5, arms);
 }

@@ -3,57 +3,28 @@
 //! co-simulation and the RTL baseline (the paper's 1.9e5 / 1.4e4 / 2.3e3
 //! cycles-per-second ordering).
 
-use softsim_bench::harness::Harness;
+use softsim_bench::measure::{bench_main, blocks_run, cosim_run, iss_run, rtl_run, Arm};
 use softsim_bench::workloads;
-use softsim_blocks::{Fix, FixFmt};
-use softsim_bus::FslBank;
-use softsim_cosim::CoSimStop;
-use softsim_iss::{Cpu, StopReason};
-use softsim_rtl::RtlStop;
-use std::hint::black_box;
 
 fn main() {
-    let mut h = Harness::new();
-    h.samples(10);
-
     // Instruction simulator alone: pure-software CORDIC image.
     let img = workloads::cordic_sw_image(24);
-    h.bench("table2_sim_speed/iss_alone", || {
-        let mut cpu = Cpu::with_default_memory(&img);
-        let mut fsl = FslBank::default();
-        assert_eq!(cpu.run(&mut fsl, u64::MAX / 2), StopReason::Halted);
-        black_box(cpu.stats().cycles);
-    });
-
-    // Block simulator alone: the 4-PE pipeline, 100k clocks.
-    const HW_CYCLES: u64 = 100_000;
-    h.bench("table2_sim_speed/blocks_alone", || {
-        let mut g = softsim_apps::cordic::hardware::cordic_graph(4);
-        let data = Fix::from_int(0x1234, FixFmt::INT32);
-        let on = Fix::from_int(1, FixFmt::BOOL);
-        let off = Fix::zero(FixFmt::BOOL);
-        let hd = g.input_handle("fsl0_data").unwrap();
-        let hv = g.input_handle("fsl0_valid").unwrap();
-        let hc = g.input_handle("fsl0_ctrl").unwrap();
-        for i in 0..HW_CYCLES {
-            g.set_input_fast(hd, data);
-            g.set_input_fast(hv, if i % 3 != 0 { on } else { off });
-            g.set_input_fast(hc, off);
-            g.step();
-        }
-        black_box(g.cycles());
-    });
-
-    // Full co-simulation and the RTL baseline on the same workload.
-    h.bench("table2_sim_speed/cosim", || {
-        let mut sim = workloads::cordic_cosim_long(24, Some(4));
-        assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-        black_box(sim.cpu_stats().cycles);
-    });
-    h.bench("table2_sim_speed/rtl_baseline", || {
-        let mut soc = workloads::cordic_rtl_long(24, Some(4));
-        assert_eq!(soc.run(u64::MAX / 4), RtlStop::Halted);
-        black_box(soc.cpu_cycles());
-    });
-    h.finish();
+    let arms: Vec<(String, Arm)> = vec![
+        ("table2_sim_speed/iss_alone".into(), Box::new(|| iss_run(&img, false))),
+        // Block simulator alone: the 4-PE pipeline, 100k clocks.
+        (
+            "table2_sim_speed/blocks_alone".into(),
+            Box::new(|| blocks_run(softsim_apps::cordic::hardware::cordic_graph(4), 100_000)),
+        ),
+        // Full co-simulation and the RTL baseline on the same workload.
+        (
+            "table2_sim_speed/cosim".into(),
+            Box::new(|| cosim_run(|| workloads::cordic_cosim_long(24, Some(4)))),
+        ),
+        (
+            "table2_sim_speed/rtl_baseline".into(),
+            Box::new(|| rtl_run(|| workloads::cordic_rtl_long(24, Some(4)))),
+        ),
+    ];
+    bench_main(10, arms);
 }

@@ -50,123 +50,104 @@
 //! same simulation. The served report is asserted equal to the direct
 //! run's first, line for line.
 //!
-//! Samples are interleaved (A,B,A,B,...) so frequency scaling and cache
-//! warm-up hit both configurations equally, and minima are compared
-//! (minimum wall time is the standard low-noise estimator for
-//! same-machine A/B timing).
+//! Each guard samples its off and on arms against each other with
+//! `softsim_bench::measure::sample`: one warm-up run each, then 15
+//! rounds whose order alternates (off,on then on,off), so neither side
+//! always runs right after the other — or right after another guard's
+//! campaign — and frequency scaling and cache warm-up hit both equally.
+//! Minima are compared (minimum wall time is the standard low-noise
+//! estimator for same-machine A/B timing).
 
 use softsim_bench::durable::{durable_cordic_campaign, journaled};
+use softsim_bench::faults::{cordic_campaign, REPORT_SEED};
+use softsim_bench::measure::{cosim_run, iss_run, sample, time_run, Arm, SimTiming};
 use softsim_bus::FslBank;
-use softsim_cosim::CoSimStop;
+use softsim_cosim::{CoSim, CoSimStop};
 use softsim_iss::{Cpu, StopReason};
+use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use softsim_metrics::MetricsCollector;
-use softsim_resilience::CampaignRun;
+use softsim_resilience::{CampaignReport, CampaignRun};
 use softsim_trace::{shared, NullSink};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
-const SAMPLES: usize = 15;
+const SAMPLES: u32 = 15;
 
-fn run_untraced(img: &softsim_isa::Image) -> Duration {
-    let mut cpu = Cpu::with_default_memory(img);
-    let mut fsl = FslBank::default();
-    let start = Instant::now();
-    assert_eq!(cpu.run(&mut fsl, u64::MAX / 2), StopReason::Halted);
-    let wall = start.elapsed();
-    black_box(cpu.stats().cycles);
-    wall
+fn run_null_traced(img: &softsim_isa::Image) -> SimTiming {
+    let setup = || {
+        let mut cpu = Cpu::with_default_memory(img);
+        let mut fsl = FslBank::default();
+        let sink = shared(Rc::new(RefCell::new(NullSink)));
+        cpu.attach_trace(sink.clone());
+        fsl.attach_trace(sink);
+        (cpu, fsl)
+    };
+    time_run(setup, |(cpu, fsl)| {
+        assert_eq!(cpu.run(fsl, u64::MAX / 2), StopReason::Halted);
+        cpu.stats().cycles
+    })
 }
 
-fn run_null_traced(img: &softsim_isa::Image) -> Duration {
-    let mut cpu = Cpu::with_default_memory(img);
-    let mut fsl = FslBank::default();
-    let sink = shared(Rc::new(RefCell::new(NullSink)));
-    cpu.attach_trace(sink.clone());
-    fsl.attach_trace(sink);
-    let start = Instant::now();
-    assert_eq!(cpu.run(&mut fsl, u64::MAX / 2), StopReason::Halted);
-    let wall = start.elapsed();
-    black_box(cpu.stats().cycles);
-    wall
-}
-
-fn run_metrics_off(img: &softsim_isa::Image) -> Duration {
+fn run_metrics_off(img: &softsim_isa::Image) -> SimTiming {
     // Metrics off: the collector exists (registry built, windows ready)
     // but no sink is attached, so the hot path is identical to the
     // untraced configuration — one predictable branch per emit site.
-    let collector = MetricsCollector::new(256);
-    let mut cpu = Cpu::with_default_memory(img);
-    let mut fsl = FslBank::default();
-    let start = Instant::now();
-    assert_eq!(cpu.run(&mut fsl, u64::MAX / 2), StopReason::Halted);
-    let wall = start.elapsed();
-    black_box(cpu.stats().cycles);
-    black_box(collector.to_prometheus().len());
-    wall
+    let setup = || (MetricsCollector::new(256), Cpu::with_default_memory(img), FslBank::default());
+    time_run(setup, |(collector, cpu, fsl)| {
+        assert_eq!(cpu.run(fsl, u64::MAX / 2), StopReason::Halted);
+        black_box(collector);
+        cpu.stats().cycles
+    })
 }
 
-fn run_cosim_ecc(ecc: bool) -> Duration {
-    // The FSL-heavy hardware-accelerated workload: every batch word
-    // crosses the codec-guarded push/pop paths in both directions.
-    let mut sim = softsim_bench::workloads::cordic_cosim_long(24, Some(4));
-    sim.set_fsl_ecc(ecc);
-    let start = Instant::now();
-    assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-    let wall = start.elapsed();
-    black_box(sim.cpu_stats().cycles);
-    wall
+/// The FSL-heavy hardware-accelerated workload: every batch word
+/// crosses the codec-guarded push/pop paths in both directions.
+fn cordic_p4() -> CoSim {
+    softsim_bench::workloads::cordic_cosim_long(24, Some(4))
 }
 
-fn run_cosim_profiling(on: bool) -> Duration {
+fn run_cosim_ecc(ecc: bool) -> SimTiming {
+    cosim_run(|| {
+        let mut sim = cordic_p4();
+        sim.set_fsl_ecc(ecc);
+        sim
+    })
+}
+
+fn run_cosim_profiling(on: bool) -> SimTiming {
     // Profiler off is the default; on attaches the per-PC collector and
     // (like any sink) disengages stall fast-forwarding, so the off
     // configuration does strictly less work than the on one.
-    let mut sim = softsim_bench::workloads::cordic_cosim_long(24, Some(4));
-    sim.set_profiling(on);
-    let start = Instant::now();
-    assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-    let wall = start.elapsed();
-    black_box(sim.cpu_stats().cycles);
-    if on {
-        black_box(sim.guest_profile().expect("profiling on").total_cycles());
-    }
-    wall
+    cosim_run(|| {
+        let mut sim = cordic_p4();
+        sim.set_profiling(on);
+        sim
+    })
 }
 
-fn run_campaign_plain() -> Duration {
-    // Journaling off: the default in-memory campaign over the durable
-    // bench's seeded plan. Plan construction is included on both sides,
-    // so the ratio isolates the journaling delta.
-    use softsim_bench::faults::{cordic_campaign, REPORT_SEED};
-    let start = Instant::now();
-    let report = cordic_campaign(REPORT_SEED, softsim_bench::durable::DURABLE_TRIALS);
-    let wall = start.elapsed();
-    black_box(report.trials.len());
-    wall
+/// Times a whole campaign; the plan is built inside the timed region
+/// on both sides of every campaign guard, so ratios isolate the delta.
+fn run_campaign(campaign: impl FnOnce() -> CampaignReport) -> SimTiming {
+    time_run(|| (), |_| campaign().trials.len() as u64)
 }
 
-fn run_campaign_telemetry() -> Duration {
+/// Journaling and telemetry off: the default in-memory campaign over
+/// the durable bench's seeded plan.
+fn plain_campaign() -> CampaignReport {
+    cordic_campaign(REPORT_SEED, softsim_bench::durable::DURABLE_TRIALS)
+}
+
+fn run_campaign_telemetry() -> SimTiming {
     // Telemetry on, in-memory only: spans aggregate under a mutex, no
     // heartbeat or snapshot I/O. The report must equal the plain run's.
-    use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
-    let t = Telemetry::new(TelemetryConfig::default());
-    let start = Instant::now();
-    let report =
-        durable_cordic_campaign(&CampaignRun { workers: 1, telemetry: Some(&t), journal: None });
-    let wall = start.elapsed();
-    black_box(report.trials.len());
-    black_box(t.trial_cycles());
-    wall
-}
-
-fn run_campaign_journaled(journal: &std::path::Path) -> Duration {
-    let start = Instant::now();
-    let report = durable_cordic_campaign(&journaled(journal, false, 1, None));
-    let wall = start.elapsed();
-    black_box(report.trials.len());
-    wall
+    time_run(
+        || Telemetry::new(TelemetryConfig::default()),
+        |t| {
+            let run = CampaignRun { workers: 1, telemetry: Some(t), journal: None };
+            durable_cordic_campaign(&run).trials.len() as u64
+        },
+    )
 }
 
 const SERVE_SEED: u64 = 0x00FF_10AD;
@@ -184,7 +165,7 @@ fn serve_spec() -> softsim_serve::JobSpec {
     }
 }
 
-fn serve_off_campaign() -> softsim_resilience::CampaignReport {
+fn serve_off_campaign() -> CampaignReport {
     // Serve off: the same plan, simulator and runner the service's
     // catalog wires up, invoked directly with no queue, no worker
     // hand-off and no result plumbing.
@@ -207,45 +188,25 @@ fn serve_off_campaign() -> softsim_resilience::CampaignReport {
     .0
 }
 
-fn run_serve_off() -> Duration {
-    let start = Instant::now();
-    let report = serve_off_campaign();
-    let wall = start.elapsed();
-    black_box(report.trials.len());
-    wall
-}
-
-fn run_serve_on(server: &softsim_serve::Server) -> Duration {
-    let start = Instant::now();
-    let result = server.run(serve_spec()).expect("campaign admitted");
-    let wall = start.elapsed();
-    assert_eq!(result.state, softsim_serve::JobState::Done);
-    black_box(result.report.len());
-    wall
+fn run_serve_on(server: &softsim_serve::Server) -> SimTiming {
+    time_run(
+        || (),
+        |_| {
+            let result = server.run(serve_spec()).expect("campaign admitted");
+            assert_eq!(result.state, softsim_serve::JobState::Done);
+            result.report.len() as u64
+        },
+    )
 }
 
 fn main() {
     let img = softsim_bench::workloads::cordic_sw_image(24);
     let journal =
         std::env::temp_dir().join(format!("softsim_overhead_{}.ssjl", std::process::id()));
-    // Warm-up all paths.
-    run_untraced(&img);
-    run_null_traced(&img);
-    run_metrics_off(&img);
-    run_cosim_ecc(false);
-    run_cosim_ecc(true);
-    run_cosim_profiling(false);
-    run_cosim_profiling(true);
-    run_campaign_plain();
-    run_campaign_telemetry();
-    run_campaign_journaled(&journal);
     // The journaled report must be the plain report, byte for byte —
     // the overhead comparison is only meaningful between equal runs.
     assert_eq!(
-        softsim_bench::faults::cordic_campaign(
-            softsim_bench::faults::REPORT_SEED,
-            softsim_bench::durable::DURABLE_TRIALS,
-        ),
+        plain_campaign(),
         durable_cordic_campaign(&journaled(&journal, false, 1, None)),
         "plain and journaled campaigns must agree bit for bit"
     );
@@ -282,16 +243,21 @@ fn main() {
             "served campaign must match the direct run line for line"
         );
     }
+    // The profiler-on arm must really profile, reconciling exactly with
+    // the CPU's cycle counter.
+    {
+        let mut sim = cordic_p4();
+        sim.set_profiling(true);
+        assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
+        let profile = sim.guest_profile().expect("profiling on");
+        assert_eq!(profile.total_cycles(), sim.cpu_stats().cycles);
+    }
     // Same for the instrumented run — telemetry must never leak into
     // the deterministic report.
     {
-        use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
         let t = Telemetry::new(TelemetryConfig::default());
         assert_eq!(
-            softsim_bench::faults::cordic_campaign(
-                softsim_bench::faults::REPORT_SEED,
-                softsim_bench::durable::DURABLE_TRIALS,
-            ),
+            plain_campaign(),
             durable_cordic_campaign(&CampaignRun {
                 workers: 1,
                 telemetry: Some(&t),
@@ -300,120 +266,77 @@ fn main() {
             "plain and instrumented campaigns must agree bit for bit"
         );
     }
-    let mut untraced = Vec::with_capacity(SAMPLES);
-    let mut nulled = Vec::with_capacity(SAMPLES);
-    let mut metrics_off = Vec::with_capacity(SAMPLES);
-    let mut ecc_off = Vec::with_capacity(SAMPLES);
-    let mut ecc_on = Vec::with_capacity(SAMPLES);
-    let mut prof_off = Vec::with_capacity(SAMPLES);
-    let mut prof_on = Vec::with_capacity(SAMPLES);
-    let mut journal_off = Vec::with_capacity(SAMPLES);
-    let mut journal_on = Vec::with_capacity(SAMPLES);
-    let mut telemetry_on = Vec::with_capacity(SAMPLES);
-    let mut serve_off = Vec::with_capacity(SAMPLES);
-    let mut serve_on = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        untraced.push(run_untraced(&img));
-        nulled.push(run_null_traced(&img));
-        metrics_off.push(run_metrics_off(&img));
-        ecc_off.push(run_cosim_ecc(false));
-        ecc_on.push(run_cosim_ecc(true));
-        prof_off.push(run_cosim_profiling(false));
-        prof_on.push(run_cosim_profiling(true));
-        journal_off.push(run_campaign_plain());
-        telemetry_on.push(run_campaign_telemetry());
-        journal_on.push(run_campaign_journaled(&journal));
-        serve_off.push(run_serve_off());
-        serve_on.push(run_serve_on(&serve_server));
+
+    // (guard, off label, on label, off arm, on arm). The untraced and
+    // metrics-off paths do strictly less work than the null-sink path;
+    // every other off path does strictly less work than its on path.
+    let guards: Vec<(&str, &str, &str, Arm, Arm)> = vec![
+        (
+            "trace",
+            "untraced",
+            "null-sink",
+            Box::new(|| iss_run(&img, false)),
+            Box::new(|| run_null_traced(&img)),
+        ),
+        (
+            "metrics",
+            "metrics-off",
+            "null-sink",
+            Box::new(|| run_metrics_off(&img)),
+            Box::new(|| run_null_traced(&img)),
+        ),
+        (
+            "hardening",
+            "ecc-off",
+            "ecc-on",
+            Box::new(|| run_cosim_ecc(false)),
+            Box::new(|| run_cosim_ecc(true)),
+        ),
+        (
+            "profiler",
+            "profiler-off",
+            "profiler-on",
+            Box::new(|| run_cosim_profiling(false)),
+            Box::new(|| run_cosim_profiling(true)),
+        ),
+        (
+            "telemetry",
+            "telemetry-off",
+            "telemetry-on",
+            Box::new(|| run_campaign(plain_campaign)),
+            Box::new(run_campaign_telemetry),
+        ),
+        (
+            "journaling",
+            "journaling-off",
+            "journaled",
+            Box::new(|| run_campaign(plain_campaign)),
+            Box::new(|| {
+                run_campaign(|| durable_cordic_campaign(&journaled(&journal, false, 1, None)))
+            }),
+        ),
+        (
+            "serve",
+            "serve-off",
+            "served",
+            Box::new(|| run_campaign(serve_off_campaign)),
+            Box::new(|| run_serve_on(&serve_server)),
+        ),
+    ];
+    for (guard, off_label, on_label, mut off, mut on) in guards {
+        let [off, on] = sample(SAMPLES, [&mut *off, &mut *on]);
+        let (best_off, best_on) = (off.min(), on.min());
+        let ratio = best_off.as_secs_f64() / best_on.as_secs_f64();
+        println!(
+            "{guard} overhead guard: {off_label} {best_off:?}, {on_label} {best_on:?}, \
+             off/on ratio {ratio:.4}"
+        );
+        assert!(
+            ratio <= 1.02,
+            "{off_label} path must stay within 2% of the {on_label} path \
+             ({off_label} {best_off:?} vs {on_label} {best_on:?}, ratio {ratio:.4})"
+        );
+        println!("ok: {off_label} overhead within 2%");
     }
     let _ = std::fs::remove_file(&journal);
-    let best_untraced = *untraced.iter().min().unwrap();
-    let best_nulled = *nulled.iter().min().unwrap();
-    let best_metrics_off = *metrics_off.iter().min().unwrap();
-    let ratio = best_untraced.as_secs_f64() / best_nulled.as_secs_f64();
-    println!(
-        "trace overhead guard: untraced {best_untraced:?}, null-sink {best_nulled:?}, \
-         untraced/null ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "tracing-off path must stay within 2% of the null-sink path \
-         (untraced {best_untraced:?} vs null {best_nulled:?}, ratio {ratio:.4})"
-    );
-    println!("ok: tracing-off overhead within 2%");
-    let ratio = best_metrics_off.as_secs_f64() / best_nulled.as_secs_f64();
-    println!(
-        "metrics overhead guard: metrics-off {best_metrics_off:?}, null-sink {best_nulled:?}, \
-         metrics-off/null ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "metrics-off path must stay within 2% of the null-sink path \
-         (metrics-off {best_metrics_off:?} vs null {best_nulled:?}, ratio {ratio:.4})"
-    );
-    println!("ok: metrics-off overhead within 2%");
-    let best_ecc_off = *ecc_off.iter().min().unwrap();
-    let best_ecc_on = *ecc_on.iter().min().unwrap();
-    let ratio = best_ecc_off.as_secs_f64() / best_ecc_on.as_secs_f64();
-    println!(
-        "hardening overhead guard: ecc-off {best_ecc_off:?}, ecc-on {best_ecc_on:?}, \
-         off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "hardening-off co-simulation must stay within 2% of the ECC-on run \
-         (ecc-off {best_ecc_off:?} vs ecc-on {best_ecc_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: hardening-off overhead within 2%");
-    let best_prof_off = *prof_off.iter().min().unwrap();
-    let best_prof_on = *prof_on.iter().min().unwrap();
-    let ratio = best_prof_off.as_secs_f64() / best_prof_on.as_secs_f64();
-    println!(
-        "profiler overhead guard: profiler-off {best_prof_off:?}, profiler-on {best_prof_on:?}, \
-         off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "profiler-off co-simulation must stay within 2% of the profiler-on run \
-         (off {best_prof_off:?} vs on {best_prof_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: profiler-off overhead within 2%");
-    let best_journal_off = *journal_off.iter().min().unwrap();
-    let best_telemetry_on = *telemetry_on.iter().min().unwrap();
-    let ratio = best_journal_off.as_secs_f64() / best_telemetry_on.as_secs_f64();
-    println!(
-        "telemetry overhead guard: telemetry-off {best_journal_off:?}, \
-         telemetry-on {best_telemetry_on:?}, off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "telemetry-off campaign must stay within 2% of the instrumented run \
-         (off {best_journal_off:?} vs on {best_telemetry_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: telemetry-off overhead within 2%");
-    let best_journal_on = *journal_on.iter().min().unwrap();
-    let ratio = best_journal_off.as_secs_f64() / best_journal_on.as_secs_f64();
-    println!(
-        "journaling overhead guard: journaling-off {best_journal_off:?}, \
-         journaled {best_journal_on:?}, off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "journaling-off campaign must stay within 2% of the journaled run \
-         (off {best_journal_off:?} vs journaled {best_journal_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: journaling-off overhead within 2%");
-    let best_serve_off = *serve_off.iter().min().unwrap();
-    let best_serve_on = *serve_on.iter().min().unwrap();
-    let ratio = best_serve_off.as_secs_f64() / best_serve_on.as_secs_f64();
-    println!(
-        "serve overhead guard: serve-off {best_serve_off:?}, served {best_serve_on:?}, \
-         off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "direct campaign must stay within 2% of the served run \
-         (off {best_serve_off:?} vs served {best_serve_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: serve-off overhead within 2%");
 }

@@ -12,8 +12,11 @@
 //! without `--journal`, is a usage error: the usage line goes to stderr
 //! and the exit status is 2, like an invalid environment variable.
 //!
-//! Run in release mode — the Table I / Table II rows, `--bench-json`
-//! and `--speedup-json` measure wall-clock simulation speed.
+//! Run in release mode — the Table I / Table II rows, `--bench-json`,
+//! `--speedup-json`, `--translate-json` and `--serve-json` measure
+//! wall-clock speed, each number a median of [`ROUNDS`] (or the
+//! record's own count of) runs on `softsim_bench::measure`, printed or
+//! recorded with its quartiles and sample count.
 //!
 //! The seven BENCH record flags share one table ([`RECORDS`]: flag,
 //! default path, generator). Each generator builds a
@@ -87,13 +90,17 @@ const USAGE: &str = "usage: tables [--fig5] [--fig7] [--table1] [--table2] [--cl
 [--translate-json [PATH]] [--serve-json [PATH]] [--record [PATH]] [--trajectory [PATH]] \
 [--trajectory-gate [COMMITTED]]";
 
+/// Rounds of every sampled Table I / Table II timing, and so of the
+/// `BENCH_0003` and `BENCH_0004` records.
+const ROUNDS: u32 = 5;
+
 /// Builds one BENCH record.
 type Generator = fn() -> Record;
 
 /// The BENCH records: writing flag, default path, generator.
 const RECORDS: [(&str, &str, Generator); 7] = [
-    ("--bench-json", "BENCH_0003.json", || tables::bench_json(3)),
-    ("--speedup-json", "BENCH_0004.json", speedup::speedup_json),
+    ("--bench-json", "BENCH_0003.json", || tables::bench_json(ROUNDS)),
+    ("--speedup-json", "BENCH_0004.json", || speedup::speedup_json(ROUNDS)),
     ("--recovery", "BENCH_0005.json", recover::recovery_json),
     ("--hotspots", "BENCH_0006.json", hotspots::hotspots_json),
     ("--durable-json", "BENCH_0007.json", durable::durable_json),
@@ -179,11 +186,10 @@ fn main() {
         println!("{}", tables::figure7_text());
     }
     if want("--table1") {
-        // Repeat each workload so wall times are well above timer noise.
-        println!("{}", tables::table1_text(5));
+        println!("{}", tables::table1_text(ROUNDS));
     }
     if want("--table2") {
-        println!("{}", tables::table2_text());
+        println!("{}", tables::table2_text(ROUNDS));
     }
     if want("--claims") {
         println!("{}", tables::claims_text());

@@ -7,9 +7,12 @@
 //!
 //! * `cargo run --release -p softsim-bench --bin tables -- --all`
 //!   prints everything (see `EXPERIMENTS.md`);
-//! * `cargo bench` runs the wall-clock benchmarks (built on the
-//!   dependency-free [`harness`]), one per table/figure, plus the
-//!   tracing-overhead guard.
+//! * `cargo bench` runs the wall-clock benchmarks, one per table/figure,
+//!   plus the tracing-overhead guard.
+//!
+//! Every wall-clock number — those benchmarks, the Table I/II times and
+//! speeds, and the wall-clock BENCH records — comes from one sampler,
+//! [`measure`].
 //!
 //! The machine-readable `BENCH_00xx.json` records are all built as a
 //! [`record::Record`], which also carries the headline series each
@@ -19,7 +22,6 @@
 
 pub mod durable;
 pub mod faults;
-pub mod harness;
 pub mod hotspots;
 pub mod measure;
 pub mod record;

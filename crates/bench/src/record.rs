@@ -251,8 +251,48 @@ impl Record {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Asserts `record` keeps the shape of the committed `file` (at
+    /// the repository root): every key path of the committed record is
+    /// still present — a record may gain keys, never lose one — and the
+    /// declared series have the committed names, gates and factors.
+    pub(crate) fn assert_covers_committed(record: &Record, file: &str) {
+        use std::collections::BTreeSet;
+        fn paths(v: &Value, prefix: &str, out: &mut BTreeSet<String>) {
+            match v {
+                Value::Object(members) => {
+                    for (key, v) in members {
+                        let path = format!("{prefix}/{key}");
+                        paths(v, &path, out);
+                        out.insert(path);
+                    }
+                }
+                Value::Array(items) => {
+                    items.iter().for_each(|v| paths(v, &format!("{prefix}[]"), out))
+                }
+                _ => {}
+            }
+        }
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = std::fs::read_to_string(root.join(file)).expect("committed record");
+        let committed = softsim_trace::json::parse(&text).expect("committed record parses");
+        let fresh = record.doc();
+        let (mut want, mut have) = (BTreeSet::new(), BTreeSet::new());
+        paths(&committed, "", &mut want);
+        paths(&fresh, "", &mut have);
+        let missing: Vec<_> = want.difference(&have).collect();
+        assert!(missing.is_empty(), "{file}: fresh record lost keys {missing:?}");
+        let gates = |doc: &Value| -> Vec<(String, Gate)> {
+            let entries = doc.get("series").and_then(Value::as_array).expect("series array");
+            entries
+                .iter()
+                .map(|e| Series::parse(e).map(|s| (s.name, s.gate)).expect("series entry"))
+                .collect()
+        };
+        assert_eq!(gates(&fresh), gates(&committed), "{file}: series names, gates or factors");
+    }
 
     #[test]
     fn every_value_kind_round_trips_through_the_parser() {

@@ -4,14 +4,15 @@
 //! `tables` binary prints them and `EXPERIMENTS.md` records paper-vs-
 //! measured values.
 
-use crate::measure::{self, SimTiming};
-use crate::record::{obj, Gate, Record};
+use crate::measure::{self, Stats};
+use crate::record::{obj, Gate, Obj, Record};
 use crate::workloads::{self, CORDIC_ITERS, CORDIC_PS, MATMUL_NS, MATMUL_TABLE_N};
 use softsim_apps::cordic::hardware::pipeline_resources;
 use softsim_apps::matmul::hardware::unit_resources;
 use softsim_blocks::Resources;
-use softsim_cosim::{CoSimStop, PAPER_CLOCK_HZ};
+use softsim_cosim::{CoSim, CoSimStop, PAPER_CLOCK_HZ};
 use softsim_resource::{actual_from_primitives, estimate_system, DataSheet, SystemConfig};
+use softsim_rtl::SocRtl;
 use std::fmt::Write as _;
 
 /// One point of Figure 5: CORDIC execution time vs P.
@@ -145,28 +146,39 @@ pub fn figure7_text() -> String {
 pub struct Table1Row {
     /// Design description (matches the paper's rows).
     pub design: String,
+    /// The workload's name in `BENCH_0003.json`.
+    pub name: String,
     /// Estimated resources (§III-C estimator).
     pub estimated: Resources,
     /// Actual resources (RTL elaboration).
     pub actual: Resources,
-    /// Co-simulation wall time.
-    pub cosim: SimTiming,
-    /// Low-level (RTL) wall time for the same workload.
-    pub rtl: SimTiming,
+    /// Co-simulation wall time per run.
+    pub cosim: Stats,
+    /// Low-level (RTL) wall time per run of the same workload.
+    pub rtl: Stats,
 }
 
 impl Table1Row {
-    /// Simulation-time speedup of the co-simulator over the RTL baseline.
+    /// Simulation-time speedup of the co-simulator over the RTL baseline
+    /// (ratio of median run times).
     pub fn sim_speedup(&self) -> f64 {
         self.rtl.seconds() / self.cosim.seconds().max(1e-12)
     }
 }
 
+/// Samples a co-simulation against the RTL simulation of the same
+/// workload, interleaved.
+fn cosim_vs_rtl(rounds: u32, cosim: impl Fn() -> CoSim, rtl: impl Fn() -> SocRtl) -> [Stats; 2] {
+    let mut cosim_arm = || measure::cosim_run(&cosim);
+    let mut rtl_arm = || measure::rtl_run(&rtl);
+    measure::sample(rounds, [&mut cosim_arm, &mut rtl_arm])
+}
+
 /// Regenerates Table I: resources and simulation times for the four
-/// CORDIC configurations and the two matmul configurations.
-///
-/// `repeats` scales the simulated workload so wall times are measurable.
-pub fn table1(repeats: u32) -> Vec<Table1Row> {
+/// CORDIC configurations and the two matmul configurations. Each
+/// workload's co-simulation and RTL runs are sampled against each other
+/// for `rounds` rounds.
+pub fn table1(rounds: u32) -> Vec<Table1Row> {
     let sheet = DataSheet::default();
     let mut rows = Vec::new();
     for &p in &CORDIC_PS {
@@ -176,10 +188,14 @@ pub fn table1(repeats: u32) -> Vec<Table1Row> {
             &sheet,
         );
         let actual = actual_from_primitives(workloads::cordic_rtl(24, Some(p)).kernel.primitives());
-        let cosim = measure::time_cosim(|| workloads::cordic_cosim_long(24, Some(p)), repeats);
-        let rtl = measure::time_rtl(|| workloads::cordic_rtl_long(24, Some(p)), repeats);
+        let [cosim, rtl] = cosim_vs_rtl(
+            rounds,
+            || workloads::cordic_cosim_long(24, Some(p)),
+            || workloads::cordic_rtl_long(24, Some(p)),
+        );
         rows.push(Table1Row {
             design: format!("24-iter CORDIC division, P = {p}"),
+            name: format!("cordic_24iter_p{p}"),
             estimated,
             actual,
             cosim,
@@ -195,10 +211,14 @@ pub fn table1(repeats: u32) -> Vec<Table1Row> {
         );
         let actual =
             actual_from_primitives(workloads::matmul_rtl_sys(n, Some(nb)).kernel.primitives());
-        let cosim = measure::time_cosim(|| workloads::matmul_cosim(n, Some(nb)), repeats);
-        let rtl = measure::time_rtl(|| workloads::matmul_rtl_sys(n, Some(nb)), repeats);
+        let [cosim, rtl] = cosim_vs_rtl(
+            rounds,
+            || workloads::matmul_cosim(n, Some(nb)),
+            || workloads::matmul_rtl_sys(n, Some(nb)),
+        );
         rows.push(Table1Row {
             design: format!("{n}x{n} matmul, {nb}x{nb} blocks"),
+            name: format!("matmul_{n}x{n}_nb{nb}"),
             estimated,
             actual,
             cosim,
@@ -208,19 +228,25 @@ pub fn table1(repeats: u32) -> Vec<Table1Row> {
     rows
 }
 
+/// A median wall time in seconds with its quartiles.
+fn seconds_with_quartiles(s: &Stats) -> String {
+    let (q1, q3) = s.quartiles();
+    format!("{:.4} [{:.4},{:.4}]", s.seconds(), q1.as_secs_f64(), q3.as_secs_f64())
+}
+
 /// Formats Table I as text.
-pub fn table1_text(repeats: u32) -> String {
-    let rows = table1(repeats);
+pub fn table1_text(rounds: u32) -> String {
+    let rows = table1(rounds);
     let mut out = String::from(
         "Table I: resources (estimated/actual) and cycle-accurate simulation time\n\
-         design                              slices      BRAM  mult  cosim(s)  rtl(s)  speedup\n",
+         design                              slices      BRAM  mult    cosim(s) [q1,q3]        rtl(s) [q1,q3]          speedup\n",
     );
     let mut speedups = Vec::new();
     for r in &rows {
         speedups.push(r.sim_speedup());
         let _ = writeln!(
             out,
-            "{:<34} {:>5}/{:<5}  {:>2}/{:<2}  {:>2}/{:<2}  {:>7.3}  {:>7.3}  {:>5.1}x",
+            "{:<34} {:>5}/{:<5}  {:>2}/{:<2}  {:>2}/{:<2}  {:<22}  {:<22}  {:>5.1}x",
             r.design,
             r.estimated.slices,
             r.actual.slices,
@@ -228,8 +254,8 @@ pub fn table1_text(repeats: u32) -> String {
             r.actual.brams,
             r.estimated.mult18s,
             r.actual.mult18s,
-            r.cosim.seconds(),
-            r.rtl.seconds(),
+            seconds_with_quartiles(&r.cosim),
+            seconds_with_quartiles(&r.rtl),
             r.sim_speedup()
         );
     }
@@ -241,6 +267,11 @@ pub fn table1_text(repeats: u32) -> String {
         "simulation speedups: {min:.1}x .. {max:.1}x, average {avg:.1}x \
          (paper: 5.6x .. 19.4x, averages 12.8x / 13x / 15.1x)"
     );
+    let _ = writeln!(
+        out,
+        "(times: median and quartiles of n = {} interleaved runs per simulator, set-up excluded)",
+        rows[0].cosim.n()
+    );
     out
 }
 
@@ -249,56 +280,56 @@ pub fn table1_text(repeats: u32) -> String {
 pub struct Table2Row {
     /// Simulator name.
     pub simulator: &'static str,
-    /// Simulated clock cycles per wall second.
-    pub cycles_per_sec: f64,
+    /// Wall time per run; [`Stats::cycles_per_sec`] is the table's metric.
+    pub timing: Stats,
 }
 
+/// Clock cycles the block simulator is driven for per Table II run.
+const BLOCKS_CYCLES: u64 = 100_000;
+
 /// Regenerates Table II: raw simulation speeds of the component
-/// simulators on the CORDIC division workload.
-pub fn table2() -> Vec<Table2Row> {
+/// simulators on the CORDIC division workload, sampled against each
+/// other for `rounds` rounds.
+pub fn table2(rounds: u32) -> Vec<Table2Row> {
     let img = workloads::cordic_sw_image(24);
-    let iss = measure::time_iss_alone(&img, 100);
-    let blocks =
-        measure::time_blocks_alone(softsim_apps::cordic::hardware::cordic_graph(4), 500_000);
-    let rtl = measure::time_rtl(|| workloads::cordic_rtl_long(24, Some(4)), 2);
-    let cosim = measure::time_cosim(|| workloads::cordic_cosim_long(24, Some(4)), 5);
+    let mut iss = || measure::iss_run(&img, false);
+    let mut blocks =
+        || measure::blocks_run(softsim_apps::cordic::hardware::cordic_graph(4), BLOCKS_CYCLES);
+    let mut cosim = || measure::cosim_run(|| workloads::cordic_cosim_long(24, Some(4)));
+    let mut rtl = || measure::rtl_run(|| workloads::cordic_rtl_long(24, Some(4)));
+    let [iss, blocks, cosim, rtl] =
+        measure::sample(rounds, [&mut iss, &mut blocks, &mut cosim, &mut rtl]);
     vec![
-        Table2Row {
-            simulator: "instruction simulator (ISS alone)",
-            cycles_per_sec: iss.cycles_per_sec(),
-        },
-        Table2Row {
-            simulator: "block simulator (HW peripheral only)",
-            cycles_per_sec: blocks.cycles_per_sec(),
-        },
-        Table2Row {
-            simulator: "co-simulation (ISS + blocks + FSL)",
-            cycles_per_sec: cosim.cycles_per_sec(),
-        },
-        Table2Row {
-            simulator: "low-level behavioral RTL (baseline)",
-            cycles_per_sec: rtl.cycles_per_sec(),
-        },
+        Table2Row { simulator: "instruction simulator (ISS alone)", timing: iss },
+        Table2Row { simulator: "block simulator (HW peripheral only)", timing: blocks },
+        Table2Row { simulator: "co-simulation (ISS + blocks + FSL)", timing: cosim },
+        Table2Row { simulator: "low-level behavioral RTL (baseline)", timing: rtl },
     ]
 }
 
 /// Formats Table II as text.
-pub fn table2_text() -> String {
-    let rows = table2();
-    let rtl = rows.last().unwrap().cycles_per_sec;
+pub fn table2_text(rounds: u32) -> String {
+    let rows = table2(rounds);
+    let rtl = rows.last().expect("Table II has an RTL row").timing.cycles_per_sec();
     let mut out = String::from(
         "Table II: simulation speeds on the CORDIC division application\n\
-         simulator                              cycles/sec     vs RTL\n",
+         simulator                               cycles/sec   [q1, q3]                       vs RTL\n",
     );
     for r in &rows {
+        let (lo, hi) = r.timing.rate_quartiles();
         let _ = writeln!(
             out,
-            "{:<38} {:>11.0}   {:>7.1}x",
+            "{:<38} {:>11.0}   [{lo:>11.0}, {hi:>11.0}]   {:>7.1}x",
             r.simulator,
-            r.cycles_per_sec,
-            r.cycles_per_sec / rtl
+            r.timing.cycles_per_sec(),
+            r.timing.cycles_per_sec() / rtl
         );
     }
+    let _ = writeln!(
+        out,
+        "(median and quartiles of n = {} interleaved runs per simulator, set-up excluded)",
+        rows[0].timing.n()
+    );
     out.push_str("(paper: instr. simulator 1.9e5, Simulink 1.4e4, ModelSim 2.3e3 cycles/sec)\n");
     out
 }
@@ -330,7 +361,6 @@ pub fn ablation_fsl_vs_opb_text() -> String {
 pub fn ablation_configurations_text() -> String {
     use softsim_apps::cordic::divider::idiv_program;
     use softsim_apps::cordic::software::{sw_program, SwStyle};
-    use softsim_cosim::CoSim;
     use softsim_isa::asm::assemble;
     use softsim_isa::CpuConfig;
 
@@ -619,63 +649,51 @@ pub fn metrics_text() -> String {
 /// The machine-readable benchmark record (`BENCH_0003.json`): wall
 /// time, simulated cycles and cycles/sec for the co-simulator vs the
 /// RTL baseline on the Table I workloads, plus the Table II component
-/// speeds. The schema (key set) is stable; the numbers are wall-clock
-/// and therefore machine-dependent.
+/// speeds, each timing with its sample count and quartiles. The schema
+/// (key set) is stable; the numbers are wall-clock and therefore
+/// machine-dependent.
 ///
-/// `repeats` scales each timed workload, exactly as in [`table1`].
-pub fn bench_json(repeats: u32) -> Record {
-    let timing = |t: &SimTiming| {
-        obj! {
-            "wall_seconds" => t.seconds(), "sim_cycles" => t.sim_cycles,
-            "cycles_per_sec" => t.cycles_per_sec(),
-        }
+/// Built from the [`table1`] and [`table2`] rows, each sampled for
+/// `rounds` rounds.
+pub fn bench_json(rounds: u32) -> Record {
+    let timing = |s: &Stats| {
+        s.spread(obj! {
+            "wall_seconds" => s.seconds(), "sim_cycles" => s.sim_cycles(),
+            "cycles_per_sec" => s.cycles_per_sec(),
+        })
     };
-    let mut rows = Vec::new();
-    let (mut cosim_sum, mut speedup_sum) = (0.0, 0.0);
-    let mut add = |name: String, cosim: SimTiming, rtl: SimTiming| {
-        let speedup = rtl.seconds() / cosim.seconds().max(1e-12);
-        cosim_sum += cosim.cycles_per_sec();
-        speedup_sum += speedup;
-        rows.push(obj! {
-            "name" => name, "cosim" => timing(&cosim), "rtl" => timing(&rtl),
-            "speedup_vs_rtl" => speedup,
-        });
-    };
-    for &p in &CORDIC_PS {
-        add(
-            format!("cordic_24iter_p{p}"),
-            measure::time_cosim(|| workloads::cordic_cosim_long(24, Some(p)), repeats),
-            measure::time_rtl(|| workloads::cordic_rtl_long(24, Some(p)), repeats),
-        );
-    }
-    for nb in [2usize, 4] {
-        let n = MATMUL_TABLE_N;
-        add(
-            format!("matmul_{n}x{n}_nb{nb}"),
-            measure::time_cosim(|| workloads::matmul_cosim(n, Some(nb)), repeats),
-            measure::time_rtl(|| workloads::matmul_rtl_sys(n, Some(nb)), repeats),
-        );
-    }
+    let rows = table1(rounds);
+    let workloads: Vec<Obj> = rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "name" => &r.name, "cosim" => timing(&r.cosim), "rtl" => timing(&r.rtl),
+                "speedup_vs_rtl" => r.sim_speedup(),
+            }
+        })
+        .collect();
     let n = rows.len() as f64;
+    let cosim_mean = rows.iter().map(|r| r.cosim.cycles_per_sec()).sum::<f64>() / n;
+    let speedup_mean = rows.iter().map(|r| r.sim_speedup()).sum::<f64>() / n;
 
-    let img = workloads::cordic_sw_image(24);
-    let iss = measure::time_iss_alone(&img, 20 * repeats).cycles_per_sec();
-    let blocks =
-        measure::time_blocks_alone(softsim_apps::cordic::hardware::cordic_graph(4), 100_000)
-            .cycles_per_sec();
-    let component = |name: &str, cps: f64| obj! { "name" => name, "cycles_per_sec" => cps };
+    let speeds = table2(rounds);
+    let (iss, blocks) = (&speeds[0].timing, &speeds[1].timing);
+    let component = |name: &str, s: &Stats| {
+        s.spread(obj! { "name" => name, "cycles_per_sec" => s.cycles_per_sec() })
+    };
     let components = vec![component("iss_alone", iss), component("blocks_alone", blocks)];
 
     let description =
         "co-simulation vs RTL wall-clock speed (Ou & Prasanna, IPDPS 2005, Tables I-II)";
+    // `repeats` keeps its key; it now counts the rounds of each sample.
     let fields = obj! {
-        "clock_hz" => PAPER_CLOCK_HZ, "repeats" => repeats, "workloads" => rows,
+        "clock_hz" => PAPER_CLOCK_HZ, "repeats" => rounds, "workloads" => workloads,
         "components" => components,
     };
     Record::new("BENCH_0003", description, fields)
-        .series("iss_cycles_per_sec", iss, Gate::Floor(0.8))
-        .series("cosim_cycles_per_sec_mean", cosim_sum / n, Gate::Floor(0.8))
-        .series("speedup_vs_rtl_mean", speedup_sum / n, Gate::Info)
+        .series("iss_cycles_per_sec", iss.cycles_per_sec(), Gate::Floor(0.8))
+        .series("cosim_cycles_per_sec_mean", cosim_mean, Gate::Floor(0.8))
+        .series("speedup_vs_rtl_mean", speedup_mean, Gate::Info)
 }
 
 /// The deterministic record committed as `tables_output.txt`: every
@@ -716,6 +734,7 @@ pub fn record_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softsim_trace::json::Value;
 
     #[test]
     fn figure5_shape() {
@@ -792,17 +811,32 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed_with_required_keys() {
-        let doc = bench_json(1).doc();
+        let record = bench_json(1);
+        crate::record::tests::assert_covers_committed(&record, "BENCH_0003.json");
+        let doc = record.doc();
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap();
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(crate::record::SCHEMA));
+        assert_eq!(doc.get("bench_id").and_then(Value::as_str), Some("BENCH_0003"));
+        assert!(num(&doc, "clock_hz") > 0.0);
         let workloads = doc.get("workloads").unwrap().as_array().unwrap();
         assert_eq!(workloads.len(), 6, "four CORDIC configs + two matmul configs");
         for w in workloads {
             for sim in ["cosim", "rtl"] {
                 let t = w.get(sim).unwrap();
-                assert!(t.get("wall_seconds").unwrap().as_f64().unwrap() > 0.0);
-                assert!(t.get("sim_cycles").unwrap().as_f64().unwrap() > 0.0);
-                assert!(t.get("cycles_per_sec").unwrap().as_f64().unwrap() > 0.0);
+                assert!(num(t, "wall_seconds") > 0.0);
+                assert!(num(t, "sim_cycles") > 0.0);
+                assert!(num(t, "cycles_per_sec") > 0.0);
+                assert_eq!(num(t, "samples"), 1.0);
+                assert!(num(t, "wall_q1_seconds") <= num(t, "wall_seconds"));
+                assert!(num(t, "wall_seconds") <= num(t, "wall_q3_seconds"));
             }
+            assert!(num(w, "speedup_vs_rtl") > 0.0);
         }
-        assert_eq!(doc.get("components").unwrap().as_array().unwrap().len(), 2);
+        let components = doc.get("components").unwrap().as_array().unwrap();
+        assert_eq!(components.len(), 2);
+        for c in components {
+            assert!(num(c, "cycles_per_sec") > 0.0);
+            assert_eq!(num(c, "samples"), 1.0);
+        }
     }
 }

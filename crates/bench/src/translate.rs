@@ -4,7 +4,9 @@
 //! Two compute-heavy software workloads — the pure-software block
 //! matmul image on the bare ISS, and the repeated-batch software CORDIC
 //! program under the co-simulation engine — are each run to completion
-//! with translation off and with translation on, timed wall-clock.
+//! with translation off and with translation on, the two sampled
+//! against each other ([`crate::measure::sample`]: interleaved, set-up
+//! untimed).
 //! Before any number is recorded, one run of each variant is compared
 //! on every architectural observable (statistics, registers, full
 //! simulation state), so every speedup in the JSON is backed by an
@@ -13,36 +15,19 @@
 //! the CI floor (translated ≥ 2x interpreted on these workloads) are
 //! not.
 
-use crate::measure::{time_cosim, time_iss_alone, SimTiming};
+use crate::measure::{cosim_run, iss_run, sample, Stats};
 use crate::record::{obj, Gate, Record};
 use crate::workloads;
 use softsim_bus::FslBank;
 use softsim_cosim::{CoSim, CoSimStop};
 use softsim_isa::Image;
 use softsim_iss::{Cpu, StopReason};
-use std::time::Instant;
 
-/// Completion runs per timed ISS measurement.
-const ISS_REPEATS: u32 = 20;
+/// Rounds of each timed ISS sample.
+const ISS_ROUNDS: u32 = 20;
 
-/// Completion runs per timed co-simulation measurement.
-const COSIM_REPEATS: u32 = 8;
-
-/// Times the ISS with translated basic-block execution enabled —
-/// [`time_iss_alone`] with the fast path on.
-pub fn time_iss_translated(image: &Image, repeats: u32) -> SimTiming {
-    let mut cycles = 0;
-    let start = Instant::now();
-    for _ in 0..repeats {
-        let mut cpu = Cpu::with_default_memory(image);
-        cpu.set_translation(true);
-        let mut fsl = FslBank::default();
-        let stop = cpu.run(&mut fsl, u64::MAX / 2);
-        assert_eq!(stop, StopReason::Halted);
-        cycles += cpu.stats().cycles;
-    }
-    SimTiming { wall: start.elapsed(), sim_cycles: cycles }
-}
+/// Rounds of each timed co-simulation sample.
+const COSIM_ROUNDS: u32 = 8;
 
 /// Runs `image` on the bare ISS interpreted and translated, asserting
 /// bit-identical results, and returns the shared cycle count.
@@ -97,41 +82,42 @@ pub fn translate_json() -> Record {
     // block matmul at the headline size.
     let iss_image = workloads::matmul_image(workloads::MATMUL_TABLE_N, None);
     let iss_cycles = assert_iss_equivalent(&iss_image);
-    let iss_interp = time_iss_alone(&iss_image, ISS_REPEATS);
-    let iss_xlate = time_iss_translated(&iss_image, ISS_REPEATS);
+    let mut interp = || iss_run(&iss_image, false);
+    let mut xlate = || iss_run(&iss_image, true);
+    let [iss_interp, iss_xlate] = sample(ISS_ROUNDS, [&mut interp, &mut xlate]);
 
     // Co-simulation: the long software CORDIC batch (no peripheral —
     // the CPU is the bottleneck, which is what translation targets).
     let make = || workloads::cordic_cosim_long(24, None);
     let cosim_cycles = assert_cosim_equivalent(make);
-    let cosim_interp = time_cosim(make, COSIM_REPEATS);
-    let cosim_xlate = time_cosim(
-        || {
+    let mut interp = || cosim_run(make);
+    let mut xlate = || {
+        cosim_run(|| {
             let mut sim = make();
             sim.set_translation(true);
             sim
-        },
-        COSIM_REPEATS,
-    );
+        })
+    };
+    let [cosim_interp, cosim_xlate] = sample(COSIM_ROUNDS, [&mut interp, &mut xlate]);
 
     let iss_speedup = iss_xlate.cycles_per_sec() / iss_interp.cycles_per_sec().max(1e-12);
     let cosim_speedup = cosim_xlate.cycles_per_sec() / cosim_interp.cycles_per_sec().max(1e-12);
     let best_speedup = iss_speedup.max(cosim_speedup);
-    let side = |t: &SimTiming| {
-        obj! { "wall_seconds" => t.seconds(), "cycles_per_sec" => t.cycles_per_sec() }
+    let side = |s: &Stats| {
+        s.spread(obj! { "wall_seconds" => s.seconds(), "cycles_per_sec" => s.cycles_per_sec() })
     };
     let iss_workload = format!("matmul N={} software image, ISS alone", workloads::MATMUL_TABLE_N);
     let cosim_workload =
         format!("cordic 24-iteration software batch x{}, co-simulation", workloads::TIMING_REPS);
     let fields = obj! {
         "iss" => obj! {
-            "workload" => iss_workload, "cycles_per_run" => iss_cycles, "repeats" => ISS_REPEATS,
+            "workload" => iss_workload, "cycles_per_run" => iss_cycles, "repeats" => ISS_ROUNDS,
             "interpreter" => side(&iss_interp), "translated" => side(&iss_xlate),
             "speedup" => iss_speedup, "results_identical" => true,
         },
         "cosim" => obj! {
             "workload" => cosim_workload, "cycles_per_run" => cosim_cycles,
-            "repeats" => COSIM_REPEATS,
+            "repeats" => COSIM_ROUNDS,
             "interpreter" => side(&cosim_interp), "translated" => side(&cosim_xlate),
             "speedup" => cosim_speedup, "results_identical" => true,
         },
@@ -148,13 +134,17 @@ pub fn translate_json() -> Record {
 mod tests {
     #[test]
     fn translate_json_is_well_formed_with_required_keys() {
-        let doc = super::translate_json().doc();
+        let record = super::translate_json();
+        crate::record::tests::assert_covers_committed(&record, "BENCH_0009.json");
+        let doc = record.doc();
         for section in ["iss", "cosim"] {
             let s = doc.get(section).unwrap();
             for key in ["interpreter", "translated"] {
                 let side = s.get(key).unwrap();
                 assert!(side.get("wall_seconds").unwrap().as_f64().unwrap() >= 0.0);
                 assert!(side.get("cycles_per_sec").unwrap().as_f64().unwrap() > 0.0);
+                let samples = side.get("samples").unwrap().as_f64().unwrap();
+                assert_eq!(samples, s.get("repeats").unwrap().as_f64().unwrap());
             }
             assert!(s.get("speedup").unwrap().as_f64().unwrap() > 0.0);
             assert!(s.get("cycles_per_run").unwrap().as_f64().unwrap() > 0.0);
